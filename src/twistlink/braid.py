@@ -38,7 +38,7 @@ class BraidWord:
         letters = tuple(self.letters)
         object.__setattr__(self, "letters", letters)
         for g in letters:
-            if not isinstance(g, int) or g == 0:
+            if not isinstance(g, int) or isinstance(g, bool) or g == 0:
                 raise ValueError(f"letters must be nonzero integers, got {g!r}")
             if abs(g) > self.strands - 1:
                 raise ValueError(

@@ -38,10 +38,6 @@ class Crossing:
     def over_pair(self) -> tuple[int, int]:
         return (self.in_left, self.out_right) if self.sign > 0 else (self.in_right, self.out_left)
 
-    @property
-    def under_pair(self) -> tuple[int, int]:
-        return (self.in_right, self.out_left) if self.sign > 0 else (self.in_left, self.out_right)
-
 
 @dataclass(frozen=True)
 class PlanarDiagram:
@@ -218,17 +214,3 @@ def parse_dt(text: str) -> DTCode:
             raise ValueError(f"DT entries must be signed even integers, got {e}")
     return DTCode(tuple(entries))
 
-
-def render_diagram(d: PlanarDiagram) -> str:
-    """Line-oriented debug dump: crossings with signs and arc wiring."""
-    lines = [f"strands {d.strands} crossings {len(d.crossings)} arcs {d.n_arcs}"]
-    for t, c in enumerate(d.crossings):
-        lines.append(
-            f"crossing {t}: sign {c.sign:+d} pos {c.pos + 1}"
-            f" in=({c.in_left},{c.in_right}) out=({c.out_left},{c.out_right})"
-            f" over={c.over_pair}"
-        )
-    for k, comp in enumerate(d.components):
-        tag = " (free loop)" if comp[0] in d.free_loops else ""
-        lines.append(f"component {k}: arcs {list(comp)}{tag}")
-    return "\n".join(lines)

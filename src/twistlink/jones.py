@@ -1,284 +1,48 @@
 """Kauffman bracket and Jones polynomial by two independent routes.
 
-Route one is the state sum: every smoothing state of the diagram is
-enumerated and weighted A^(a-b) * delta^(loops-1), delta = -A^2 - A^-2.
-Route two represents braid letters in the Temperley-Lieb algebra
-(sigma_i -> A + A^-1 e_i) and closes with the Markov trace.  The routes
-share no skein logic, so exact agreement between them is a meaningful
-check; the test suite enforces it.
+Route one is the state sum (``twistlink.statesum``): every smoothing
+state of the diagram is weighted A^(a-b) * delta^(loops-1), delta =
+-A^2 - A^-2, and the states are counted by contracting the diagram one
+crossing at a time.  Route two (``twistlink.transfer``) represents braid
+letters in the Temperley-Lieb algebra (sigma_i -> A + A^-1 e_i) and
+closes with the Markov trace.  The two modules share no skein logic, so
+exact agreement between them is a meaningful check; the test suite
+enforces it.
 
 Both are normalized to bracket(unknot) = 1, giving V(unknot) = 1 after
 the writhe correction V = (-A)^(-3w) * bracket.  Results carry variable
 tag t when every A-exponent is divisible by 4 (knots, odd-component
 links); otherwise the A-form is kept and rendered over half-integer
-powers of t.
-
-State sums above _PLAIN_CUTOFF crossings are split at a seam: the word
-is cut into two tangles whose smoothing histograms are composed over
-boundary matchings.  Every one of the 2^c states is still accounted for
-exactly once; the seam only reorganizes the sum.
+powers of t.  This module holds what the routes have in common: their
+size limits, the writhe normalization and the row format.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from . import statesum, transfer
 from .braid import BraidWord
-from .diagram import PlanarDiagram, braid_closure, writhe
-from .kernels import smoothing_histogram
-from .poly import VAR_A, VAR_T, LaurentPoly
+from .diagram import PlanarDiagram, writhe
+from .poly import VAR_T, LaurentPoly
 
 DEFAULT_STATESUM_LIMIT = 24
 DEFAULT_TL_LIMIT = 12
-_PLAIN_CUTOFF = 26
-_SEAM_MAX_STRANDS = 8
-
-DELTA = LaurentPoly(VAR_A, {2: -1, -2: -1})
 
 
 class LimitExceeded(ValueError):
     """Requested computation is over the configured size limit."""
 
 
-def catalan(n: int) -> int:
-    c = 1
-    for i in range(n):
-        c = c * 2 * (2 * i + 1) // (i + 2)
-    return c
-
-
-@functools.lru_cache(maxsize=None)
-def noncrossing_matchings(points: int) -> tuple[tuple[int, ...], ...]:
-    """All non-crossing perfect matchings of ``points`` circle positions."""
-    if points % 2:
-        raise ValueError("odd number of boundary points")
-    out: list[tuple[int, ...]] = []
-
-    def rec(free: tuple[int, ...]) -> list[list[tuple[int, int]]]:
-        if not free:
-            return [[]]
-        res = []
-        a = free[0]
-        for k in range(1, len(free), 2):
-            b = free[k]
-            for left in rec(free[1:k]):
-                for right in rec(free[k + 1 :]):
-                    res.append([(a, b)] + left + right)
-        return res
-
-    for chords in rec(tuple(range(points))):
-        m = [-1] * points
-        for a, b in chords:
-            m[a], m[b] = b, a
-        out.append(tuple(m))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class TLDiagramBasis:
-    """Crossingless-matching basis of the Temperley-Lieb algebra TL_n.
-
-    Circle positions: bottom point i sits at position i, top point i at
-    position 2n-1-i.  Dimension is the n-th Catalan number.
-    """
-
-    strands: int
-    matchings: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    @functools.lru_cache(maxsize=None)
-    def for_strands(n: int) -> "TLDiagramBasis":
-        ms = noncrossing_matchings(2 * n)
-        basis = TLDiagramBasis(n, ms)
-        assert len(ms) == catalan(n)
-        return basis
-
-
-def identity_matching(n: int) -> tuple[int, ...]:
-    return tuple(2 * n - 1 - i for i in range(2 * n))
-
-
-def apply_e(m: tuple[int, ...], j: int, n: int) -> tuple[tuple[int, ...], bool]:
-    """Stack generator e_j on top of matching ``m``.
-
-    Returns the resulting matching and whether a closed loop was absorbed
-    (worth one factor of delta).
-    """
-    p, q = 2 * n - j - 1, 2 * n - j
-    if m[p] == q:
-        return m, True
-    a, b = m[p], m[q]
-    out = list(m)
-    out[a], out[b] = b, a
-    out[p], out[q] = q, p
-    return tuple(out), False
-
-
-def closure_loops(m: tuple[int, ...], n: int) -> int:
-    """Loops formed when the trace closure joins top point i to bottom i."""
-    seen = [False] * (2 * n)
-    loops = 0
-    for start in range(2 * n):
-        if seen[start]:
-            continue
-        loops += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            y = m[x]
-            seen[y] = True
-            x = 2 * n - 1 - y  # matching edge, then closure edge
-    return loops
-
-
-def _joins(sign, il, ir, ol, orr) -> tuple[tuple[int, int, int, int], tuple[int, int, int, int]]:
-    ident = (il, ol, ir, orr)
-    cupcap = (il, ir, ol, orr)
-    return (ident, cupcap) if sign > 0 else (cupcap, ident)
-
-
-def _delta_power(k: int) -> LaurentPoly:
-    return _delta_power_cached(k)
-
-
-@functools.lru_cache(maxsize=None)
-def _delta_power_cached(k: int) -> LaurentPoly:
-    return DELTA**k
-
-
-def _assemble(hist, c: int) -> LaurentPoly:
-    # bracket = sum count * A^(c-2b) * delta^(loops-1)
-    total = LaurentPoly.zero(VAR_A)
-    for (_, b, loops), count in sorted(hist.items(), key=lambda kv: kv[0][1:]):
-        term = _delta_power(loops - 1).scaled(count).shifted(c - 2 * b)
-        total = total + term
-    return total
-
-
-def _plain_bracket(d: PlanarDiagram) -> LaurentPoly:
-    joins_a, joins_b = [], []
-    for c in d.crossings:
-        qa, qb = _joins(c.sign, c.in_left, c.in_right, c.out_left, c.out_right)
-        joins_a.append(qa)
-        joins_b.append(qb)
-    hist = smoothing_histogram(d.n_arcs, joins_a, joins_b)
-    return _assemble(hist, len(d.crossings))
-
-
-def _block_histogram(quads, boundary: tuple[int, ...], n_strands: int):
-    arcs = sorted({a for q in quads for a in q[1:]} | set(boundary))
-    local = {a: i for i, a in enumerate(arcs)}
-    joins_a, joins_b = [], []
-    for sign, il, ir, ol, orr in quads:
-        qa, qb = _joins(sign, local[il], local[ir], local[ol], local[orr])
-        joins_a.append(qa)
-        joins_b.append(qb)
-    # a strand the block never crosses shows up as the same id at two
-    # boundary positions; the kernel pairs them through the shared arc
-    lb = tuple(local[a] for a in boundary)
-    cands = noncrossing_matchings(2 * n_strands)
-    return smoothing_histogram(len(arcs), joins_a, joins_b, lb, list(cands))
-
-
-def _glue_cycles(m1: tuple[int, ...], m2: tuple[int, ...]) -> int:
-    # position u of block 1 is identified with position 2n-1-u of block 2
-    size = len(m1)
-    seen = [False] * size
-    cycles = 0
-    for start in range(size):
-        if seen[start]:
-            continue
-        cycles += 1
-        u = start
-        while not seen[u]:
-            seen[u] = True
-            v = m1[u]
-            seen[v] = True
-            u = size - 1 - m2[size - 1 - v]
-    return cycles
-
-
-def _seam_bracket(d: PlanarDiagram) -> LaurentPoly:
-    n = d.strands
-    if n > _SEAM_MAX_STRANDS:
-        raise LimitExceeded(
-            f"state sum over {len(d.crossings)} crossings needs a seam split, "
-            f"supported up to {_SEAM_MAX_STRANDS} strands (got {n}); use the transfer route"
-        )
-    c = len(d.crossings)
-    k = c // 2
-    # replay the word with fresh arc ids: the diagram's own ids fold the
-    # closure onto the start arcs and would collide across the seam
-    start_arcs = tuple(range(n))
-    current = list(start_arcs)
-    nxt = n
-    quads = []
-    cut_arcs = start_arcs
-    for t, cr in enumerate(d.crossings):
-        if t == k:
-            cut_arcs = tuple(current)
-        j = cr.pos
-        quads.append((cr.sign, current[j], current[j + 1], nxt, nxt + 1))
-        current[j], current[j + 1] = nxt, nxt + 1
-        nxt += 2
-    final_arcs = tuple(current)
-
-    bound1 = start_arcs + tuple(reversed(cut_arcs))
-    bound2 = cut_arcs + tuple(reversed(final_arcs))
-    hist1 = _block_histogram(quads[:k], bound1, n)
-    hist2 = _block_histogram(quads[k:], bound2, n)
-
-    # pack (b, loops) counts per matching into one big integer per block;
-    # 64-bit slots, so adds and multiplies of the integers are exactly
-    # slotwise adds and 2-d convolutions (counts stay far below 2^64)
-    max_l = max((key[2] for key in hist1), default=0) + max((key[2] for key in hist2), default=0) + 1
-
-    def pack(hist):
-        per: dict[tuple[int, ...], int] = {}
-        for (m, b, loops), count in hist.items():
-            per[m] = per.get(m, 0) | (count << (64 * (b * max_l + loops)))
-        return per
-
-    big1, big2 = pack(hist1), pack(hist2)
-    per_g_acc: dict[int, int] = {}
-    for m1, p1 in big1.items():
-        by_g: dict[int, int] = {}
-        for m2, p2 in big2.items():
-            g = _glue_cycles(m1, m2)
-            by_g[g] = by_g.get(g, 0) + p2
-        for g, acc in by_g.items():
-            per_g_acc[g] = per_g_acc.get(g, 0) + p1 * acc
-
-    mask = (1 << 64) - 1
-    total = LaurentPoly.zero(VAR_A)
-    for g, packed in per_g_acc.items():
-        slot = 0
-        while packed:
-            count = packed & mask
-            if count:
-                b, loops = divmod(slot, max_l)
-                term = _delta_power(loops + g - 1).scaled(count).shifted(c - 2 * b)
-                total = total + term
-            packed >>= 64
-            slot += 1
-    return total
-
-
 def kauffman_bracket(d: PlanarDiagram, limit: int = DEFAULT_STATESUM_LIMIT) -> LaurentPoly:
-    """Normalized Kauffman bracket of ``d`` by state-sum enumeration."""
+    """Normalized Kauffman bracket of ``d`` by state-sum contraction."""
     c = len(d.crossings)
     if c > limit:
         raise LimitExceeded(
             f"{c} crossings exceeds the state-sum limit {limit}; "
             "raise the limit or use the transfer route"
         )
-    if c == 0:
-        return _delta_power(len(d.components) - 1)
-    if c <= _PLAIN_CUTOFF:
-        return _plain_bracket(d)
-    return _seam_bracket(d)
+    return statesum.bracket(d)
 
 
 def _writhe_normalize(bracket: LaurentPoly, w: int) -> LaurentPoly:
@@ -303,30 +67,8 @@ def jones_tl(b: BraidWord, limit: int = DEFAULT_TL_LIMIT) -> LaurentPoly:
     n = b.strands
     if n > limit:
         raise LimitExceeded(f"{n} strands exceeds the transfer limit {limit}")
-    one = LaurentPoly.one(VAR_A)
-    a_pos = LaurentPoly.monomial(VAR_A, 1)
-    a_neg = LaurentPoly.monomial(VAR_A, -1)
-    vec: dict[tuple[int, ...], LaurentPoly] = {identity_matching(n): one}
-    for g in b.letters:
-        j = abs(g)
-        straight, turned = (a_pos, a_neg) if g > 0 else (a_neg, a_pos)
-        nxt: dict[tuple[int, ...], LaurentPoly] = {}
-        for m, coef in vec.items():
-            prev = nxt.get(m)
-            term = coef * straight
-            nxt[m] = term if prev is None else prev + term
-            m2, looped = apply_e(m, j, n)
-            term = coef * turned
-            if looped:
-                term = term * DELTA
-            prev = nxt.get(m2)
-            nxt[m2] = term if prev is None else prev + term
-        vec = {m: p for m, p in nxt.items() if not p.is_zero}
-    bracket = LaurentPoly.zero(VAR_A)
-    for m, coef in vec.items():
-        bracket = bracket + coef * _delta_power(closure_loops(m, n) - 1)
     w = sum(1 if g > 0 else -1 for g in b.letters)
-    return _as_t(_writhe_normalize(bracket, w))
+    return _as_t(_writhe_normalize(transfer.bracket(b), w))
 
 
 def mirror_poly(p: LaurentPoly) -> LaurentPoly:
@@ -339,7 +81,8 @@ def determinant(v: LaurentPoly) -> int:
     if v.variable != VAR_T:
         raise ValueError("determinant needs a t-tagged polynomial")
     val = v.substitute(Fraction(-1))
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise ValueError(f"V(-1) = {val} is not an integer")
     return abs(int(val))
 
 

@@ -9,6 +9,7 @@ when their tags agree.  Exponents may be negative.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
@@ -52,7 +53,8 @@ def parse_slope(text: str) -> Slope:
 def format_slope(value: Slope) -> str:
     if value is INF:
         return "inf"
-    assert isinstance(value, Fraction)
+    if not isinstance(value, Fraction):
+        raise TypeError(f"slope must be a Fraction or INF, got {value!r}")
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -236,6 +238,16 @@ class LaurentPoly:
             else:
                 parts.append(f"{c}*{self.variable}^{exp}")
         return f"LaurentPoly({self.variable!r}, {' + '.join(parts)})"
+
+
+DELTA = LaurentPoly(VAR_A, {2: -1, -2: -1})
+"""The value of one unknotted loop in the Kauffman bracket: -A^2 - A^-2."""
+
+
+@functools.lru_cache(maxsize=None)
+def delta_power(k: int) -> LaurentPoly:
+    """DELTA**k, cached: both Jones routes ask for the same few powers."""
+    return DELTA**k
 
 
 def format_span_coeffs(p: LaurentPoly) -> str:

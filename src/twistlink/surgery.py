@@ -428,9 +428,6 @@ def h1(p: SurgeryPresentation) -> Homology:
     return Homology(tuple(d for d in diag if d > 1), len(keep) - len(diag))
 
 
-MOVE_NAMES = ("blowdown", "blowup", "slamdunk", "slide", "chain")
-
-
 def apply_move(p: SurgeryPresentation, move: tuple) -> SurgeryPresentation:
     kind = move[0]
     if kind == "blowdown":

@@ -39,6 +39,12 @@ def test_braid_word_validation():
         BraidWord(3, (3,))
 
 
+def test_braid_word_rejects_bool_letters():
+    # True would render as "2: True True True", which does not parse back
+    with pytest.raises(ValueError, match="nonzero integers"):
+        BraidWord(2, (True,) * 3)
+
+
 def test_writhe_and_permutation():
     b = BraidWord(3, (1, 2, -1, 2))
     assert b.writhe() == 2

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from twistlink.cli import main
@@ -90,6 +92,18 @@ def test_jones_oracle_flag_matches_tl(capsys):
     _, out_tl, _ = run(capsys, "--statesum-limit", "4", "jones", word)
     _, out_sum, _ = run(capsys, "--oracle", "jones", word)
     assert out_tl == out_sum
+
+
+def test_jones_oracle_on_twisted_torus_knot(capsys):
+    # T(8,3,4,-2): 39 crossings after free reduction, 8 strands
+    word = "8: " + " ".join([str(g) for g in list(range(1, 8)) * 3 + [-3, -2, -1] * 8])
+    _, out_tl, _ = run(capsys, "--statesum-limit", "4", "jones", word)
+    start = time.perf_counter()
+    code, out_sum, err = run(capsys, "--oracle", "jones", word)
+    elapsed = time.perf_counter() - start
+    assert code == 0 and not err
+    assert out_sum == out_tl
+    assert elapsed < 5.0, elapsed
 
 
 def test_dt_lines(capsys):

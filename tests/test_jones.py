@@ -1,7 +1,8 @@
-import os
+import ast
+import importlib.util
 import random
-import subprocess
-import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,6 @@ from twistlink.braid import (
 from twistlink.diagram import braid_closure
 from twistlink.jones import (
     LimitExceeded,
-    _plain_bracket,
-    _seam_bracket,
     determinant,
     format_jones_row,
     jones,
@@ -29,11 +28,9 @@ from twistlink.jones import (
     kauffman_bracket,
     mirror_poly,
 )
-from twistlink.kernels import statesum_py
-from twistlink.kernels import smoothing_histogram
 from twistlink.poly import VAR_A, VAR_T, LaurentPoly
 
-from oracles import jones_dict_in_t, random_knot_braid, torus_jones
+from oracles import brute_bracket, jones_dict_in_t, random_knot_braid, torus_jones
 
 
 def jones_of(text):
@@ -131,17 +128,20 @@ def test_statesum_equals_tl_on_random_braids():
         assert jones(braid_closure(b)) == jones_tl(b), (n, letters)
 
 
-def test_seam_matches_plain_bracket():
+def test_contraction_matches_brute_bracket():
+    # unlinks, free loops, and one-letter closures whose arcs join themselves
+    cases = [(1, ()), (3, ()), (4, (1, 1)), (2, (1,)), (2, (-1,)), (3, (2,)), (3, (1, -1))]
     rng = random.Random(13)
-    for _ in range(12):
-        n = rng.randint(2, 5)
+    # mostly small words, since the oracle walks all 2^c states; a few reach 16
+    for size in [rng.randint(0, 12) for _ in range(56)] + [13, 14, 15, 16]:
+        n = rng.randint(1, 8)
         letters = tuple(
-            rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(4, 18))
+            rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(size if n > 1 else 0)
         )
+        cases.append((n, letters))
+    for n, letters in cases:
         d = braid_closure(BraidWord(n, letters))
-        if not d.crossings:
-            continue
-        assert _seam_bracket(d) == _plain_bracket(d), (n, letters)
+        assert as_dict(kauffman_bracket(d, limit=16)) == brute_bracket(n, letters), (n, letters)
 
 
 def test_limits_raise():
@@ -158,30 +158,40 @@ def test_mirror_braid_gives_mirror_polynomial():
     assert mirror_poly(jones_tl(b)) == jones_tl(mirror(b))
 
 
-def test_pure_kernel_matches_dispatch():
-    rng = random.Random(3)
-    for _ in range(40):
-        c = rng.randint(1, 6)
-        n_arcs = 2 * c + 2
-        joins_a, joins_b = [], []
-        for _ in range(c):
-            quad = tuple(rng.randrange(n_arcs) for _ in range(4))
-            joins_a.append((quad[0], quad[1], quad[2], quad[3]))
-            joins_b.append((quad[0], quad[2], quad[1], quad[3]))
-        pure = statesum_py.smoothing_histogram(n_arcs, joins_a, joins_b)
-        fast = smoothing_histogram(n_arcs, joins_a, joins_b)
-        assert pure == fast
+def test_statesum_beyond_eight_strands():
+    # 28 crossings each; the transfer route stays cheap on these words
+    nine = BraidWord(9, tuple(range(1, 9)) + (3, -4) * 10)
+    thirteen = BraidWord(13, (1, -2) * 8 + tuple(range(1, 13)))
+    for b in (nine, thirteen):
+        d = braid_closure(b)
+        assert len(d.crossings) == 28
+        assert jones(d, limit=len(d.crossings)) == jones_tl(b, limit=b.strands)
 
 
-def test_pure_backend_env_flag():
-    code = (
-        "import twistlink.kernels as k; print(k.BACKEND)"
-    )
-    env = dict(os.environ, TWISTLINK_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "pure"
+def _imported_modules(module: str) -> set[str]:
+    source = Path(importlib.util.find_spec(module).origin).read_text()
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module.rsplit(".", 1)[-1])
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_routes_share_no_code():
+    # jones imports both routes, so a route importing it would reach the other
+    for route, other in (("statesum", "transfer"), ("transfer", "statesum")):
+        imported = _imported_modules(f"twistlink.{route}")
+        assert not imported & {other, "jones"}, (route, imported)
+
+
+def test_determinant_rejects_non_integer_value(monkeypatch):
+    monkeypatch.setattr(LaurentPoly, "substitute", lambda self, value: Fraction(1, 2))
+    with pytest.raises(ValueError, match="not an integer"):
+        determinant(LaurentPoly(VAR_T, {1: 1}))
 
 
 @settings(max_examples=30, deadline=None)

@@ -110,3 +110,9 @@ def test_parse_slope_rejects_garbage():
 def test_format_slope_round_trip():
     for text in ("2/7", "-1/2", "4", "0", "inf", "-5"):
         assert format_slope(parse_slope(text)) == text
+
+
+def test_format_slope_rejects_non_slopes():
+    for bad in (0.5, 3, "1/2"):
+        with pytest.raises(TypeError):
+            format_slope(bad)
