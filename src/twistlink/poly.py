@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Iterator, Mapping
 
 VAR_A = "A"
@@ -240,14 +241,18 @@ class LaurentPoly:
         return f"LaurentPoly({self.variable!r}, {' + '.join(parts)})"
 
 
-DELTA = LaurentPoly(VAR_A, {2: -1, -2: -1})
-"""The value of one unknotted loop in the Kauffman bracket: -A^2 - A^-2."""
-
-
 @functools.lru_cache(maxsize=None)
 def delta_power(k: int) -> LaurentPoly:
-    """DELTA**k, cached: both Jones routes ask for the same few powers."""
-    return DELTA**k
+    """delta**k for the loop value delta = -A^2 - A^-2.
+
+    Built from binomials, delta^k = (-1)^k sum_j C(k, j) A^(2k-4j), so
+    large k costs k+1 binomials rather than squarings of long polynomials.
+    Cached: both Jones routes ask for the same few powers.
+    """
+    if k < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    sign = -1 if k % 2 else 1
+    return LaurentPoly._raw(VAR_A, {2 * k - 4 * j: sign * comb(k, j) for j in range(k + 1)})
 
 
 def format_span_coeffs(p: LaurentPoly) -> str:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistlink import transfer
 from twistlink.braid import (
     BraidWord,
     conjugate,
@@ -17,7 +18,9 @@ from twistlink.braid import (
     torus_braid,
     ttk_braid,
     TwistedTorusSpec,
+    free_reduce_cyclic,
 )
+from twistlink.cli import main
 from twistlink.diagram import braid_closure
 from twistlink.jones import (
     LimitExceeded,
@@ -104,6 +107,35 @@ def test_torus_formula_spot_checks():
     for p, q in ((2, 3), (2, 7), (3, 4), (3, 5), (4, 5)):
         v = jones(braid_closure(torus_braid(p, q)))
         assert as_dict(v) == torus_jones(p, q), (p, q)
+    # the transfer route also reaches knots past the state-sum limit
+    for p, q in ((2, 3), (2, 7), (3, 4), (3, 5), (4, 5), (5, 6), (6, 7), (7, 8)):
+        assert as_dict(jones_tl(torus_braid(p, q))) == torus_jones(p, q), (p, q)
+
+
+def test_transfer_cancels_long_unreduced_words():
+    # jones_tl does not free-reduce: coefficients grow large, then cancel
+    cases = [
+        (4, (1, -1, 2, -2, 3, -3) * 12),
+        (3, (1, 1, 1) + (2, -2, -1, 1) * 15 + (-1, 2) * 3),
+        (5, (-4, 3, -2, 1) + (2, 3, 4, -4, -3, -2) * 10 + (-1, 2, -3, 4)),
+    ]
+    for n, letters in cases:
+        reduced = BraidWord(n, free_reduce_cyclic(letters))
+        assert len(reduced) < len(letters) // 4
+        assert jones_tl(BraidWord(n, letters)) == jones_tl(reduced), (n, letters)
+
+
+def test_transfer_guard_catches_narrow_slots(monkeypatch, capsys):
+    # the bracket of this closure has coefficients that 3-bit slots cannot hold
+    text = "5: " + " ".join(["1 -2 3 -4"] * 7)
+    monkeypatch.setattr(transfer, "slot_width", lambda crossings, strands: 3)
+    with pytest.raises(RuntimeError, match="A = 1"):
+        jones_tl(parse_braid(text))
+    # 28 crossings is past the default state-sum limit, so the CLI takes
+    # the transfer route and must not print a row
+    with pytest.raises(RuntimeError, match="A = 1"):
+        main(["jones", text])
+    assert capsys.readouterr().out == ""
 
 
 def test_markov_moves_preserve_jones():
@@ -202,3 +234,32 @@ def test_jones_is_a_knot_invariant_under_markov_noise(seed):
     b = BraidWord(n, letters)
     noisy = markov_stabilize(conjugate(b, rng.randint(1, n - 1)), rng.choice([1, -1]))
     assert jones_tl(noisy) == jones_tl(b)
+
+
+@st.composite
+def noisy_braids(draw):
+    """Up to 13 letters on 1-5 strands, then maybe conjugated and stabilized.
+
+    At most 16 letters and 6 strands in all.  The word length is drawn
+    uniformly, so that few examples pay the oracle's 2^16 states.
+    """
+    n = draw(st.integers(min_value=1, max_value=5))
+    letter = st.integers(min_value=1, max_value=max(n - 1, 1)).flatmap(
+        lambda j: st.sampled_from((j, -j))
+    )
+    size = draw(st.integers(min_value=0, max_value=13)) if n > 1 else 0
+    b = BraidWord(n, tuple(draw(st.lists(letter, min_size=size, max_size=size))))
+    if n > 1 and draw(st.booleans()):
+        b = conjugate(b, draw(letter))
+    if draw(st.booleans()):
+        b = markov_stabilize(b, draw(st.sampled_from((1, -1))))
+    return b
+
+
+# a fixed example set: one 16-letter word costs the oracle seconds
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(noisy_braids())
+def test_three_witnesses_agree_on_noisy_braids(b):
+    expected = brute_bracket(b.strands, b.letters)
+    assert as_dict(transfer.bracket(b)) == expected
+    assert as_dict(kauffman_bracket(braid_closure(b), limit=16)) == expected

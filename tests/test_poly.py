@@ -4,11 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import poly_pow
 from twistlink.poly import (
     INF,
     LaurentPoly,
     VAR_A,
     VAR_T,
+    delta_power,
     format_slope,
     format_span_coeffs,
     is_integral,
@@ -82,6 +84,13 @@ def test_pow_matches_repeated_product(p, k):
     for _ in range(k):
         expected = expected * p
     assert p**k == expected
+
+
+def test_delta_power_matches_repeated_product():
+    for k in range(41):
+        assert dict(delta_power(k).terms()) == poly_pow({2: -1, -2: -1}, k), k
+    with pytest.raises(ValueError):
+        delta_power(-1)
 
 
 @pytest.mark.parametrize(
