@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Union
 
-from .poly import INF, Slope, format_slope, is_integral
+from .poly import INF, Slope, format_slope
 
 
 @dataclass(frozen=True)

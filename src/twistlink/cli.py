@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from typing import TextIO
 
 from .braid import (
+    BraidWord,
     GeneralizedTTKSpec,
     Stabilize,
     TwistedTorusSpec,
     TwistRegion,
+    free_reduce_cyclic,
     gttk_braid,
     parse_braid,
     render_braid,
@@ -70,13 +72,13 @@ def _read_items(raw: list[str]) -> list[tuple[str | None, str]]:
 
 
 def _jones_of_text(text: str, cfg: RunConfig):
+    # route on the crossing count after cyclic free reduction, the count
+    # the closure would have; only the state sum needs the closure itself
     b = parse_braid(text)
-    d = braid_closure(b)
-    if cfg.oracle:
-        return jones(d, limit=len(d.crossings))
-    if len(d.crossings) <= cfg.statesum_limit:
-        return jones(d, limit=cfg.statesum_limit)
-    return jones_tl(b, limit=cfg.tl_limit)
+    letters = free_reduce_cyclic(b.letters)
+    if cfg.oracle or len(letters) <= cfg.statesum_limit:
+        return jones(braid_closure(b), limit=len(letters))
+    return jones_tl(BraidWord(b.strands, letters), limit=cfg.tl_limit)
 
 
 def cmd_gen(cfg: RunConfig, args: list[str], out: TextIO) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 
 from .poly import INF, Slope, format_slope, is_integral, parse_slope
 
@@ -51,7 +52,7 @@ class SurgeryPresentation:
             for j in range(i):
                 if self.linking[i][j] != self.linking[j][i]:
                     raise ValueError("linking matrix must be symmetric")
-        for edge in self.meridian_edges:
+        for edge in sorted(self.meridian_edges):
             problem = _edge_problem(self.components, self.linking, self.meridian_edges, edge)
             if problem:
                 raise ValueError(f"meridian edge {edge[0]}->{edge[1]}: {problem}")
@@ -138,14 +139,14 @@ def blow_down(p: SurgeryPresentation, name: str) -> SurgeryPresentation:
     c = p.components[ci]
     if not c.unknotted:
         raise ValueError(f"blow-down needs an unknotted component; {name!r} is not known to be")
-    if c.coefficient is INF or c.coefficient.denominator != 1 or abs(c.coefficient) != 1:
+    if not is_integral(c.coefficient) or abs(c.coefficient) != 1:
         raise ValueError(f"blow-down needs coefficient +1 or -1, got {format_slope(c.coefficient)}")
     eps = int(c.coefficient)
     lk_c = [p.linking[i][ci] for i in range(len(p.components))]
     for i, comp in enumerate(p.components):
         if i == ci or lk_c[i] == 0 or comp.coefficient is INF:
             continue
-        if comp.coefficient.denominator != 1:
+        if not is_integral(comp.coefficient):
             raise ValueError(
                 f"cannot blow down through {comp.name!r}: rational coefficient "
                 f"{format_slope(comp.coefficient)} with nonzero linking"
@@ -224,7 +225,7 @@ def slam_dunk(p: SurgeryPresentation, meridian: str, target: str) -> SurgeryPres
         )
     r = p.components[mi].coefficient
     n = p.components[ti].coefficient
-    if n is INF or n.denominator != 1:
+    if not is_integral(n):
         raise ValueError(f"slam-dunk target must have an integer coefficient, got {format_slope(n)}")
     if r is INF:
         coeff = n
@@ -249,7 +250,7 @@ def handle_slide(p: SurgeryPresentation, i_name: str, j_name: str, sign: int) ->
     if i == j:
         raise ValueError("cannot slide a component over itself")
     ni, nj = p.components[i].coefficient, p.components[j].coefficient
-    if ni is INF or nj is INF or ni.denominator != 1 or nj.denominator != 1:
+    if not (is_integral(ni) and is_integral(nj)):
         raise ValueError("handle slides need integer coefficients on both components")
     k = len(p.components)
     mat = [list(row) for row in p.linking]
@@ -313,7 +314,7 @@ def rational_to_chain(p: SurgeryPresentation, name: str) -> SurgeryPresentation:
     coeff = p.components[ci].coefficient
     if coeff is INF:
         raise ValueError("cannot expand the infinite slope into a chain")
-    if coeff.denominator == 1:
+    if is_integral(coeff):
         raise ValueError(f"coefficient {coeff} is already an integer")
     terms = cfrac_expand(coeff).terms
     fresh = [f"{name}.{i}" for i in range(2, len(terms) + 1)]
@@ -359,53 +360,46 @@ class Homology:
 
 
 def _smith_diagonal(rows: list[list[int]]) -> list[int]:
+    """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
+
+    First diagonalize: reduce a least-|value| pivot's row and column modulo
+    the pivot until both are clear, then drop them.  Then make the diagonal
+    a divisor chain, since diag(a, b) has Smith form diag(gcd, lcm).
+    """
     m = [row[:] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
     diag = []
-    top = 0
     while True:
-        pivot = None
-        for i in range(top, nr):
-            for j in range(top, nc):
-                if m[i][j] and (pivot is None or abs(m[i][j]) < abs(m[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+        pivot = min(
+            ((abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v),
+            default=None,
+        )
         if pivot is None:
             break
-        pi, pj = pivot
-        m[top], m[pi] = m[pi], m[top]
-        for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        if m[top][top] < 0:
-            m[top] = [-v for v in m[top]]
-        p = m[top][top]
-        dirty = False
-        for i in range(top + 1, nr):
-            q = m[i][top] // p
-            if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[top])]
-            if m[i][top]:
-                dirty = True
-        for j in range(top + 1, nc):
-            q = m[top][j] // p
-            if q:
+        _, pi, pj = pivot
+        prow = m[pi]
+        p = prow[pj]
+        for i, row in enumerate(m):
+            if i != pi and row[pj]:
+                q = row[pj] // p
+                m[i] = [a - q * b for a, b in zip(row, prow)]
+        for j, v in enumerate(prow):
+            if j != pj and v:
+                q = v // p
                 for row in m:
-                    row[j] -= q * row[top]
-            if m[top][j]:
-                dirty = True
-        if dirty:
+                    row[j] -= q * row[pj]
+        column = [row[pj] for row in m]
+        if any(prow[:pj] + prow[pj + 1 :]) or any(column[:pi] + column[pi + 1 :]):
             continue
-        stray = next(
-            ((i, j) for i in range(top + 1, nr) for j in range(top + 1, nc) if m[i][j] % p),
-            None,
-        )
-        if stray:
-            # pull a non-divisible entry into the pivot row and retry
-            m[top] = [a + b for a, b in zip(m[top], m[stray[0]])]
-            continue
-        diag.append(p)
-        top += 1
-    return diag
+        del m[pi]
+        for row in m:
+            del row[pj]
+        diag.append(abs(p))
+    torsion = [d for d in diag if d > 1]  # a 1 already divides every entry
+    for i in range(len(torsion)):
+        for j in range(i + 1, len(torsion)):
+            g = gcd(torsion[i], torsion[j])
+            torsion[i], torsion[j] = g, torsion[i] // g * torsion[j]
+    return [1] * (len(diag) - len(torsion)) + torsion
 
 
 def h1(p: SurgeryPresentation) -> Homology:
@@ -572,7 +566,7 @@ def parse_script(text: str) -> list[tuple]:
                 moves.append(("blowup", int(fields[1]), tuple(int(v) for v in fields[2:])))
             elif kind == "slamdunk" and len(fields) == 3:
                 moves.append(("slamdunk", fields[1], fields[2]))
-            elif kind == "slide" and len(fields) == 4 and fields[3] in "+-":
+            elif kind == "slide" and len(fields) == 4 and fields[3] in ("+", "-"):
                 moves.append(("slide", fields[1], fields[2], 1 if fields[3] == "+" else -1))
             elif kind == "chain" and len(fields) == 2:
                 moves.append(("chain", fields[1]))

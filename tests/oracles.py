@@ -2,13 +2,16 @@
 
 Everything here recomputes package outputs from first principles with
 deliberately different plumbing: raw dicts for polynomials, a grid walk
-for DT codes, long division for the torus-knot formula, and Bareiss
-elimination for determinants.  Nothing imports from twistlink.
+for DT codes, long division for the torus-knot formula, Bareiss
+elimination for determinants, and gcds of minors for invariant factors.
+Nothing imports from twistlink.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 # ---------------------------------------------------------------------------
 # Laurent polynomials as raw {exponent: coefficient} dicts
@@ -207,6 +210,28 @@ def det_bareiss(rows: list[list[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def invariant_factors(rows: list[list[int]]) -> list[int]:
+    """Nonzero invariant factors from determinantal divisors.
+
+    D_k is the gcd of all k x k minors and d_k = D_k / D_(k-1), up to the
+    rank, past which every minor vanishes.  Enumerates every minor, so it
+    is only for small matrices.
+    """
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    factors = []
+    prev = 1
+    for k in range(1, min(nr, nc) + 1):
+        divisor = 0
+        for r in combinations(range(nr), k):
+            for c in combinations(range(nc), k):
+                divisor = gcd(divisor, det_bareiss([[rows[i][j] for j in c] for i in r]))
+        if divisor == 0:
+            break
+        factors.append(divisor // prev)
+        prev = divisor
+    return factors
 
 
 # ---------------------------------------------------------------------------

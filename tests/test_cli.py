@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import twistlink
+from twistlink import cli
 from twistlink.cli import main
 
 AXIS_PRES = """components 2
@@ -94,6 +100,19 @@ def test_jones_oracle_flag_matches_tl(capsys):
     assert out_tl == out_sum
 
 
+def test_transfer_route_builds_no_closure(capsys, monkeypatch):
+    # T(3,14), 28 crossings, over the state-sum limit: V = t^13 + t^15 - t^28
+    word = "3: " + " ".join(["1", "2"] * 14)
+
+    def no_closure(b):
+        raise AssertionError("the transfer route needs no closure")
+
+    monkeypatch.setattr(cli, "braid_closure", no_closure)
+    code, out, err = run(capsys, "jones", word)
+    assert code == 0 and not err
+    assert out == "span=(13,28) coeffs=[1,0,1" + ",0" * 12 + ",-1]\n"
+
+
 def test_jones_oracle_on_twisted_torus_knot(capsys):
     # T(8,3,4,-2): 39 crossings after free reduction, 8 strands
     word = "8: " + " ".join([str(g) for g in list(range(1, 8)) * 3 + [-3, -2, -1] * 8])
@@ -178,6 +197,26 @@ def test_homology(tmp_path, capsys):
     code, out, err = run(capsys, "homology", str(pres))
     assert code == 0
     assert out.strip() == "H1 = Z/3"
+
+
+def test_meridian_errors_do_not_depend_on_hash_seed(tmp_path):
+    # both edges are bad; the first in sorted order is the one reported
+    pres = tmp_path / "p.pres"
+    pres.write_text(
+        "components 3\na 1 1\nb 1 0\nc 1 0\nlk a b 1\nlk a c 1\n"
+        "meridian b a\nmeridian c a\n"
+    )
+    src = str(Path(twistlink.__file__).parents[1])
+    errors = set()
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "twistlink", "homology", str(pres)],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert proc.returncode == 1 and not proc.stdout
+        errors.add(proc.stderr)
+    assert errors == {"error: meridian edge b->a: meridian must be unknotted\n"}
 
 
 def test_fingerprint_groups(capsys):

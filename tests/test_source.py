@@ -15,3 +15,22 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, found
+
+
+def test_package_modules_use_every_import():
+    # __init__.py imports only to re-export, so it is left out
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [
+            f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+            for alias in node.names
+            if (alias.asname or alias.name).split(".")[0] not in used
+        ]
+    assert not unused, unused

@@ -11,6 +11,7 @@ from twistlink.surgery import (
     ContinuedFraction,
     Homology,
     SurgeryPresentation,
+    _smith_diagonal,
     apply_move,
     blow_down,
     blow_up,
@@ -26,6 +27,8 @@ from twistlink.surgery import (
     render_presentation,
     slam_dunk,
 )
+
+from oracles import invariant_factors
 
 nonzero_fractions = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7
@@ -367,6 +370,46 @@ def test_h1_invariant_factor_chain():
     assert h1(p) == Homology((2, 4), 0)
 
 
+def random_matrix(rng, rows, cols):
+    bound = rng.choice([2, 6, 40])
+    density = rng.random()
+    m = [
+        [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    if rng.random() < 0.25:
+        m[rng.randrange(rows)] = [0] * cols
+    if rows > 1 and rng.random() < 0.25:
+        m[rng.randrange(rows)] = [-v for v in m[rng.randrange(rows)]]
+    return m
+
+
+def test_smith_diagonal_matches_determinantal_divisors():
+    # square, non-square, singular, zero rows and negative entries
+    rng = random.Random(5150)
+    for _ in range(300):
+        m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        before = [row[:] for row in m]
+        assert _smith_diagonal(m) == invariant_factors(m), m
+        assert m == before
+
+
+def test_h1_matches_determinantal_divisors():
+    rng = random.Random(8128)
+    for _ in range(100):
+        k = rng.randint(1, 5)
+        coeffs = [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(k)]
+        m = random_matrix(rng, k, k)
+        linking = {(f"c{i}", f"c{j}"): m[i][j] for i in range(k) for j in range(i + 1, k)}
+        p = presentation([(f"c{i}", c, False) for i, c in enumerate(coeffs)], linking)
+        rows = [
+            [c.numerator if i == j else c.denominator * p.linking[i][j] for j in range(k)]
+            for i, c in enumerate(coeffs)
+        ]
+        factors = invariant_factors(rows)
+        assert h1(p) == Homology(tuple(d for d in factors if d > 1), k - len(factors))
+
+
 # -- scripts and traces -----------------------------------------------------
 
 
@@ -439,6 +482,8 @@ def test_parse_script_errors():
         parse_script("warp a")
     with pytest.raises(ValueError, match="line 2"):
         parse_script("blowdown a\nslide i j *")
+    with pytest.raises(ValueError, match="line 1"):
+        parse_script("slide i j +-")
 
 
 def test_render_parse_round_trip():
