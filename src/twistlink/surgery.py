@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd
 
 from .poly import INF, Slope, format_slope, is_integral, parse_slope
@@ -40,6 +42,14 @@ class SurgeryPresentation:
     meridian_edges: frozenset[tuple[str, str]]
 
     def __post_init__(self) -> None:
+        self._check_matrix()
+        names, own = _edge_index(self.components, self.meridian_edges)
+        for edge in sorted(self.meridian_edges):
+            problem = _edge_problem(self.components, self.linking, names, own, edge)
+            if problem:
+                raise ValueError(f"meridian edge {edge[0]}->{edge[1]}: {problem}")
+
+    def _check_matrix(self) -> None:
         k = len(self.components)
         names = [c.name for c in self.components]
         if len(set(names)) != k:
@@ -52,10 +62,6 @@ class SurgeryPresentation:
             for j in range(i):
                 if self.linking[i][j] != self.linking[j][i]:
                     raise ValueError("linking matrix must be symmetric")
-        for edge in sorted(self.meridian_edges):
-            problem = _edge_problem(self.components, self.linking, self.meridian_edges, edge)
-            if problem:
-                raise ValueError(f"meridian edge {edge[0]}->{edge[1]}: {problem}")
 
     def index(self, name: str) -> int:
         for i, c in enumerate(self.components):
@@ -70,25 +76,43 @@ class SurgeryPresentation:
         return self.linking[self.index(a)][self.index(b)]
 
 
-def _edge_problem(components, linking, edges, edge) -> str | None:
-    a, b = edge
+def _edge_index(components, edges) -> tuple[dict[str, int], dict[str, set[str]]]:
+    """Component index by name, and each component's own meridians."""
     names = {c.name: i for i, c in enumerate(components)}
+    own: dict[str, set[str]] = {}
+    for a, b in edges:
+        own.setdefault(b, set()).add(a)
+    return names, own
+
+
+def _edge_problem(components, linking, names, own, edge) -> str | None:
+    a, b = edge
     if a not in names or b not in names:
         return "unknown component"
     if a == b:
         return "component cannot be its own meridian"
-    ca = components[names[a]]
-    if not ca.unknotted:
+    ia = names[a]
+    if not components[ia].unknotted:
         return "meridian must be unknotted"
-    if abs(linking[names[a]][names[b]]) != 1:
+    row = linking[ia]
+    if abs(row[names[b]]) != 1:
         return "meridian must link its target exactly once"
-    own = {src for src, tgt in edges if tgt == a}
-    for c in components:
-        if c.name in (a, b) or c.name in own:
-            continue
-        if linking[names[a]][names[c.name]] != 0:
-            return f"meridian links stray component {c.name!r}"
+    mine = own.get(a, ())
+    for j in compress(range(len(row)), row):
+        name = components[j].name
+        if name != b and name not in mine:
+            return f"meridian links stray component {name!r}"
     return None
+
+
+def _add_linking(entries, names, a: str, b: str, v: int) -> None:
+    """Record lk(a, b) = v once per unordered pair; a repeat must agree."""
+    for name in (a, b):
+        if name not in names:
+            raise ValueError(f"no component named {name!r}")
+    key = (b, a) if (b, a) in entries else (a, b)
+    if entries.setdefault(key, v) != v:
+        raise ValueError(f"linking of {key[0]} and {key[1]} given twice with different values")
 
 
 def presentation(
@@ -102,9 +126,12 @@ def presentation(
         for name, coeff, unk in components
     )
     idx = {c.name: i for i, c in enumerate(comps)}
+    entries: dict[tuple[str, str], int] = {}
+    for (a, b), v in (linking or {}).items():
+        _add_linking(entries, idx, a, b, v)
     k = len(comps)
     mat = [[0] * k for _ in range(k)]
-    for (a, b), v in (linking or {}).items():
+    for (a, b), v in entries.items():
         mat[idx[a]][idx[b]] = v
         mat[idx[b]][idx[a]] = v
     return SurgeryPresentation(
@@ -113,17 +140,35 @@ def presentation(
 
 
 def _prune_edges(components, linking, edges) -> frozenset[tuple[str, str]]:
+    """Largest subset of edges that are all valid against that subset.
+
+    Dropping an edge (a, b) takes a from b's own meridians, which can only
+    invalidate edges out of b, so only those are checked again.
+    """
+    names, own = _edge_index(components, edges)
     kept = set(edges)
-    while True:
-        bad = {e for e in kept if _edge_problem(components, linking, kept, e)}
-        if not bad:
-            return frozenset(kept)
+    todo = edges
+    while todo:
+        bad = {e for e in todo if _edge_problem(components, linking, names, own, e)}
         kept -= bad
+        for a, b in bad:
+            own[b].discard(a)
+        targets = {b for _, b in bad}
+        todo = {e for e in kept if e[0] in targets}
+    return frozenset(kept)
 
 
 def _rebuild(components, linking, edges) -> SurgeryPresentation:
+    # _prune_edges has checked every kept edge, so only the matrix is
+    # checked here
     mat = tuple(tuple(row) for row in linking)
-    return SurgeryPresentation(tuple(components), mat, _prune_edges(components, mat, edges))
+    comps = tuple(components)
+    p = object.__new__(SurgeryPresentation)
+    object.__setattr__(p, "components", comps)
+    object.__setattr__(p, "linking", mat)
+    object.__setattr__(p, "meridian_edges", _prune_edges(comps, mat, edges))
+    p._check_matrix()
+    return p
 
 
 def blow_down(p: SurgeryPresentation, name: str) -> SurgeryPresentation:
@@ -359,41 +404,78 @@ class Homology:
         return " + ".join(parts) if parts else "trivial"
 
 
+def _subtract(m, cols, written, i, c, vector) -> None:
+    """Row i -= c * vector in a sparse matrix, keeping the column index.
+
+    c and every value of vector are nonzero, so an entry that comes out
+    zero was already stored.
+    """
+    row = m[i]
+    for j, v in vector.items():
+        w = row.get(j, 0) - c * v
+        if w:
+            if j not in row:
+                cols[j].add(i)
+            row[j] = w
+            written.add((i, j))
+        else:
+            del row[j]
+            cols[j].discard(i)
+
+
 def _smith_diagonal(rows: list[list[int]]) -> list[int]:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
-    First diagonalize: reduce a least-|value| pivot's row and column modulo
-    the pivot until both are clear, then drop them.  Then make the diagonal
-    a divisor chain, since diag(a, b) has Smith form diag(gcd, lcm).
+    First diagonalize by sparse elimination: rows are {col: value} dicts
+    with a col -> rows index, and each pivot is a least-|value| entry,
+    ties going to the fewest nonzeros in its row and column.  Reducing
+    the pivot's column and row modulo the pivot leaves remainders only in
+    that row and column, so the next pivot is sought there until both are
+    clear; then |p| is recorded and they are dropped.  Then make the
+    diagonal a divisor chain, since diag(a, b) has Smith form diag(gcd, lcm).
     """
-    m = [row[:] for row in rows]
+    m = {}
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        if any(row):
+            m[i] = {j: row[j] for j in compress(range(len(row)), row)}
+            for j in m[i]:
+                cols.setdefault(j, set()).add(i)
+    # candidate pivots (|value|, row + column nonzeros, i, j), pushed after
+    # each pivot for the entries it wrote; stale items are skipped
+    heap = [(abs(v), len(row) + len(cols[j]), i, j) for i, row in m.items() for j, v in row.items()]
+    heapify(heap)
     diag = []
-    while True:
-        pivot = min(
-            ((abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v),
-            default=None,
-        )
-        if pivot is None:
-            break
-        _, pi, pj = pivot
-        prow = m[pi]
-        p = prow[pj]
-        for i, row in enumerate(m):
-            if i != pi and row[pj]:
-                q = row[pj] // p
-                m[i] = [a - q * b for a, b in zip(row, prow)]
-        for j, v in enumerate(prow):
-            if j != pj and v:
-                q = v // p
-                for row in m:
-                    row[j] -= q * row[pj]
-        column = [row[pj] for row in m]
-        if any(prow[:pj] + prow[pj + 1 :]) or any(column[:pi] + column[pi + 1 :]):
+    while heap:
+        size, _, pi, pj = heappop(heap)
+        prow = m.get(pi)
+        if prow is None or abs(prow.get(pj, 0)) != size:
             continue
-        del m[pi]
-        for row in m:
-            del row[pj]
+        written = set()
+        while True:
+            p = prow[pj]
+            for i in cols[pj] - {pi}:
+                q = m[i][pj] // p
+                if q:
+                    _subtract(m, cols, written, i, q, prow)
+            quotients = {j: q for j, v in prow.items() if j != pj and (q := v // p)}
+            if quotients:
+                for i in list(cols[pj]):
+                    _subtract(m, cols, written, i, m[i][pj], quotients)
+            if len(prow) == 1 and len(cols[pj]) == 1:
+                break
+            # remainders are left only in the pivot's row and column
+            pi, pj = min(
+                [(abs(v), len(prow) + len(cols[j]), pi, j) for j, v in prow.items() if j != pj]
+                + [(abs(m[i][pj]), len(m[i]) + len(cols[pj]), i, pj) for i in cols[pj] if i != pi]
+            )[2:]
+            prow = m[pi]
+        del m[pi], cols[pj]
         diag.append(abs(p))
+        for i, j in written:
+            v = m.get(i, {}).get(j)
+            if v:
+                heappush(heap, (abs(v), len(m[i]) + len(cols[j]), i, j))
     torsion = [d for d in diag if d > 1]  # a 1 already divides every entry
     for i in range(len(torsion)):
         for j in range(i + 1, len(torsion)):
@@ -410,14 +492,20 @@ def h1(p: SurgeryPresentation) -> Homology:
     erased first.
     """
     keep = [i for i, c in enumerate(p.components) if c.coefficient is not INF]
+    if not keep:
+        return Homology((), 0)
+    position = dict(zip(keep, range(len(keep))))
     rows = []
     for i in keep:
         coeff = p.components[i].coefficient
-        row = [coeff.denominator * p.linking[i][j] for j in keep]
-        row[keep.index(i)] = coeff.numerator
+        q = coeff.denominator
+        linking = p.linking[i]
+        row = [0] * len(keep)
+        for j in compress(range(len(linking)), linking):
+            if j in position:
+                row[position[j]] = q * linking[j]
+        row[position[i]] = coeff.numerator
         rows.append(row)
-    if not rows:
-        return Homology((), 0)
     diag = _smith_diagonal(rows)
     return Homology(tuple(d for d in diag if d > 1), len(keep) - len(diag))
 
@@ -522,7 +610,7 @@ def render_presentation(p: SurgeryPresentation) -> str:
 
 def parse_presentation(text: str) -> SurgeryPresentation:
     comps: list[tuple[str, object, bool]] = []
-    linking: dict[tuple[str, str], int] = {}
+    lk_lines: list[tuple[int, str, str, int]] = []
     meridians: list[tuple[str, str]] = []
     want = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -534,7 +622,7 @@ def parse_presentation(text: str) -> SurgeryPresentation:
             if fields[0] == "components":
                 want = int(fields[1])
             elif fields[0] == "lk":
-                linking[(fields[1], fields[2])] = int(fields[3])
+                lk_lines.append((lineno, fields[1], fields[2], int(fields[3])))
             elif fields[0] == "meridian":
                 meridians.append((fields[1], fields[2]))
             else:
@@ -548,6 +636,13 @@ def parse_presentation(text: str) -> SurgeryPresentation:
         raise ValueError("missing 'components' header")
     if want != len(comps):
         raise ValueError(f"header says {want} components, found {len(comps)}")
+    names = {name for name, _, _ in comps}
+    linking: dict[tuple[str, str], int] = {}
+    for lineno, a, b, v in lk_lines:
+        try:
+            _add_linking(linking, names, a, b, v)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return presentation(comps, linking, meridians)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -157,6 +158,68 @@ def test_kirby_pipeline(tmp_path, capsys):
     assert "main 1/2 1" in out.splitlines()[-2]
 
 
+# four integer components, each with a rational meridian that is expanded
+# into a chain, slid about and slam-dunked back down to the meridian
+CHAIN_PRES = """components 8
+K1 3 1
+K2 -2 1
+K3 5 1
+K4 -1 1
+m1 8/5 1
+m2 -30/19 1
+m3 5/8 1
+m4 -12/17 1
+lk K1 K2 1
+lk K1 K4 -2
+lk K2 K3 2
+lk K3 K4 -1
+lk K1 m1 1
+lk K2 m2 1
+lk K3 m3 1
+lk K4 m4 1
+meridian m1 K1
+meridian m2 K2
+meridian m3 K3
+meridian m4 K4
+"""
+
+CHAIN_SCRIPT = """chain m1
+chain m2
+chain m3
+chain m4
+slide K1 K2 +
+slide K3 K1 -
+slide K4 K2 +
+slide K2 K3 -
+slide K1 K4 -
+slide K3 K2 +
+slamdunk m1.3 m1.2
+slamdunk m1.2 m1
+slamdunk m2.4 m2.3
+slamdunk m2.3 m2.2
+slamdunk m2.2 m2
+slamdunk m3.3 m3.2
+slamdunk m3.2 m3
+slamdunk m4.5 m4.4
+slamdunk m4.4 m4.3
+slamdunk m4.3 m4.2
+slamdunk m4.2 m4
+"""
+
+
+def test_kirby_chain_transcript_bytes(tmp_path, capsys):
+    # pins every byte of a chain transcript: presentations, edges and H1
+    pres = tmp_path / "chain.pres"
+    script = tmp_path / "chain.kirby"
+    pres.write_text(CHAIN_PRES)
+    script.write_text(CHAIN_SCRIPT)
+    code, out, err = run(capsys, "kirby", str(pres), str(script))
+    assert code == 0 and not err
+    assert out.count("\nH1 = ") == 22
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "c6a513099e3f6edb166eb5269ec45328175eeec860c707827b00da4ad10b2a22"
+
+
 def test_kirby_empty_script_echoes(tmp_path, capsys):
     pres = tmp_path / "p.pres"
     pres.write_text("components 1\nu 0 1\n")
@@ -197,6 +260,18 @@ def test_homology(tmp_path, capsys):
     code, out, err = run(capsys, "homology", str(pres))
     assert code == 0
     assert out.strip() == "H1 = Z/3"
+
+
+def test_homology_rejects_bad_linking_lines(tmp_path, capsys):
+    pres = tmp_path / "p.pres"
+    pres.write_text("components 1\nx 1 1\nlk x y 1\n")
+    code, out, err = run(capsys, "homology", str(pres))
+    assert code == 1 and not out
+    assert err == "error: line 3: no component named 'y'\n"
+    pres.write_text("components 2\nx 1 1\ny 1 1\nlk x y 1\nlk y x 2\n")
+    code, out, err = run(capsys, "homology", str(pres))
+    assert code == 1 and not out
+    assert err == "error: line 5: linking of x and y given twice with different values\n"
 
 
 def test_meridian_errors_do_not_depend_on_hash_seed(tmp_path):

@@ -11,6 +11,7 @@ from twistlink.surgery import (
     ContinuedFraction,
     Homology,
     SurgeryPresentation,
+    _rebuild,
     _smith_diagonal,
     apply_move,
     blow_down,
@@ -28,7 +29,7 @@ from twistlink.surgery import (
     slam_dunk,
 )
 
-from oracles import invariant_factors
+from oracles import det_bareiss, invariant_factors
 
 nonzero_fractions = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7
@@ -81,6 +82,38 @@ def test_meridian_edge_validation():
         presentation([("a", 1, True)], {}, [("a", "a")])
     # a meridian may link its own declared meridians (chains)
     chain_presentation([1, 2, 2, 3])
+
+
+def test_pruning_cascades_through_own_meridians():
+    # c is a's meridian but knotted, so (c, a) goes; then a links c as a
+    # stray component, so (a, b) goes too, while (d, b) stays
+    comps = [
+        Component("a", Fraction(1), True),
+        Component("b", Fraction(2), True),
+        Component("c", Fraction(3), False),
+        Component("d", Fraction(1), True),
+    ]
+    linking = [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    edges = {("c", "a"), ("a", "b"), ("d", "b")}
+    p = _rebuild(comps, linking, edges)
+    assert p.meridian_edges == frozenset({("d", "b")})
+    assert p == presentation(
+        [("a", 1, True), ("b", 2, True), ("c", 3, False), ("d", 1, True)],
+        {("a", "b"): 1, ("a", "c"): 1, ("b", "d"): 1},
+        [("d", "b")],
+    )
+    # with c unknotted nothing is dropped
+    comps[2] = Component("c", Fraction(3), True)
+    assert _rebuild(comps, linking, edges).meridian_edges == frozenset(edges)
+
+
+def test_presentation_rejects_bad_linking_entries():
+    with pytest.raises(ValueError, match="^no component named 'y'$"):
+        presentation([("x", 1, True)], {("x", "y"): 1})
+    with pytest.raises(ValueError, match="^linking of x and y given twice with different values$"):
+        presentation([("x", 1, True), ("y", 1, True)], {("x", "y"): 1, ("y", "x"): 2})
+    p = presentation([("x", 1, True), ("y", 1, True)], {("x", "y"): -1, ("y", "x"): -1})
+    assert p.lk("x", "y") == -1
 
 
 # -- blow down / blow up ----------------------------------------------------
@@ -394,6 +427,48 @@ def test_smith_diagonal_matches_determinantal_divisors():
         assert m == before
 
 
+def chain_matrix(rng, n):
+    # a tridiagonal +-1 chain with large diagonal entries and a few long links
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = rng.choice([-1, 1]) * rng.randint(1, 10**6)
+        if i + 1 < n:
+            m[i][i + 1] = m[i + 1][i] = rng.choice([-1, 1])
+    for _ in range(n // 10):
+        i, j = rng.sample(range(n), 2)
+        m[i][j] = m[j][i] = rng.randint(-2, 2)
+    return m
+
+
+def test_smith_diagonal_on_large_chain_matrices():
+    rng = random.Random(2718)
+    for n in (20, 45, 80, 120):
+        m = chain_matrix(rng, n)
+        det = det_bareiss(m)
+        assert det != 0
+        factors = _smith_diagonal(m)
+        assert len(factors) == n
+        product = 1
+        for d in factors:
+            product *= d
+        assert product == abs(det)
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+def test_smith_diagonal_on_sparse_matrices_with_large_entries():
+    rng = random.Random(1618)
+    for _ in range(40):
+        m = [
+            [rng.randint(-(10**6), 10**6) if rng.random() < 0.3 else 0 for _ in range(6)]
+            for _ in range(6)
+        ]
+        for i in rng.sample(range(6), 2):
+            m[i][rng.randrange(6)] = rng.choice([-1, 1])
+        before = [row[:] for row in m]
+        assert _smith_diagonal(m) == invariant_factors(m), m
+        assert m == before
+
+
 def test_h1_matches_determinantal_divisors():
     rng = random.Random(8128)
     for _ in range(100):
@@ -475,6 +550,17 @@ def test_parse_presentation_errors():
         parse_presentation("components 1\na 1 1\nb 2 x")
     with pytest.raises(ValueError, match="found 2"):
         parse_presentation("components 3\na 1 1\nb 2 0")
+    with pytest.raises(ValueError, match="^line 3: no component named 'y'$"):
+        parse_presentation("components 1\nx 1 1\nlk x y 1\n")
+    with pytest.raises(ValueError, match="^line 2: no component named 'z'$"):
+        parse_presentation("components 2\nlk z x 1\nx 1 1\ny 1 1\n")
+    with pytest.raises(
+        ValueError, match="^line 5: linking of x and y given twice with different values$"
+    ):
+        parse_presentation("components 2\nx 1 1\ny 1 1\nlk x y 1\nlk y x 2\n")
+    # a repeat with the same value is legal
+    p = parse_presentation("components 2\nx 1 1\ny 1 1\nlk x y 1\nlk y x 1\nlk x y 1\n")
+    assert p.lk("x", "y") == 1 and h1(p) == Homology((), 1)
 
 
 def test_parse_script_errors():
