@@ -282,7 +282,11 @@ def main(argv: list[str] | None = None) -> int:
     out = sys.stdout
     opened = None
     if ns.output:
-        opened = out = open(ns.output, "w", encoding="utf-8")
+        try:
+            opened = out = open(ns.output, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     try:
         if ns.command == "gen":
             return cmd_gen(cfg, ns.args, out)

@@ -22,28 +22,20 @@ from .braid import BraidWord, free_reduce_cyclic
 class Crossing:
     """One crossing of a closed braid, with its incident arcs.
 
-    ``pos`` is the 0-indexed left strand position.  The strand entering at
-    in_left leaves at out_right and vice versa; for a positive crossing the
-    left entrant passes over.
+    The strand entering at in_left leaves at out_right and vice versa; for
+    a positive crossing the left entrant passes over.
     """
 
     sign: int
-    pos: int
     in_left: int
     in_right: int
     out_left: int
     out_right: int
 
-    @property
-    def over_pair(self) -> tuple[int, int]:
-        return (self.in_left, self.out_right) if self.sign > 0 else (self.in_right, self.out_left)
-
 
 @dataclass(frozen=True)
 class PlanarDiagram:
-    strands: int
     crossings: tuple[Crossing, ...]
-    n_arcs: int
     free_loops: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
 
@@ -63,20 +55,19 @@ def braid_closure(b: BraidWord) -> PlanarDiagram:
     raw: list[list[int]] = []
     for g in letters:
         j = abs(g) - 1
-        raw.append([1 if g > 0 else -1, j, current[j], current[j + 1], nxt, nxt + 1])
+        raw.append([1 if g > 0 else -1, current[j], current[j + 1], nxt, nxt + 1])
         current[j], current[j + 1] = nxt, nxt + 1
         nxt += 2
 
     # closure: the final top arc at position i is the closure arc i
     alias = {current[i]: i for i in range(n) if current[i] != i}
     used = sorted(
-        {alias.get(a, a) for rec in raw for a in rec[2:]} | {i for i in range(n) if current[i] == i}
+        {alias.get(a, a) for rec in raw for a in rec[1:]} | {i for i in range(n) if current[i] == i}
     )
     renum = {a: k for k, a in enumerate(used)}
     crossings = tuple(
-        Crossing(rec[0], rec[1], *(renum[alias.get(a, a)] for a in rec[2:])) for rec in raw
+        Crossing(rec[0], *(renum[alias.get(a, a)] for a in rec[1:])) for rec in raw
     )
-    n_arcs = len(used)
     free = tuple(renum[i] for i in range(n) if current[i] == i)
 
     # thread continuation: an arc ends where a crossing consumes it
@@ -86,7 +77,7 @@ def braid_closure(b: BraidWord) -> PlanarDiagram:
         succ[c.in_right] = c.out_left
     comps: list[tuple[int, ...]] = [(a,) for a in free]
     seen = set(free)
-    for a in range(n_arcs):
+    for a in range(len(used)):
         if a in seen:
             continue
         cycle = []
@@ -97,7 +88,7 @@ def braid_closure(b: BraidWord) -> PlanarDiagram:
             x = succ[x]
         comps.append(tuple(cycle))
     comps.sort(key=min)
-    return PlanarDiagram(n, crossings, n_arcs, free, tuple(comps))
+    return PlanarDiagram(crossings, free, tuple(comps))
 
 
 def writhe(d: PlanarDiagram) -> int:
@@ -143,10 +134,6 @@ class DTCode:
         got = {abs(e) for e in self.pairs}
         if got != need:
             raise ValueError(f"entries must cover each of {{2,4,...,{2 * n}}} once")
-
-    @property
-    def crossing_count(self) -> int:
-        return len(self.pairs)
 
 
 def _visit_sequence(d: PlanarDiagram) -> list[tuple[int, bool]]:

@@ -67,8 +67,7 @@ def jones_tl(b: BraidWord, limit: int = DEFAULT_TL_LIMIT) -> LaurentPoly:
     n = b.strands
     if n > limit:
         raise LimitExceeded(f"{n} strands exceeds the transfer limit {limit}")
-    w = sum(1 if g > 0 else -1 for g in b.letters)
-    return _as_t(_writhe_normalize(transfer.bracket(b), w))
+    return _as_t(_writhe_normalize(transfer.bracket(b), b.writhe()))
 
 
 def mirror_poly(p: LaurentPoly) -> LaurentPoly:

@@ -3,8 +3,8 @@
 All coefficients are arbitrary-precision integers and all slope arithmetic
 runs on ``fractions.Fraction``; nothing in this package touches floating
 point.  A Laurent polynomial carries a variable tag, "A" for the bracket
-variable or "t" for the Jones variable, and two polynomials combine only
-when their tags agree.  Exponents may be negative.
+variable or "t" for the Jones variable, and polynomials with different
+tags are never equal.  Exponents may be negative.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 VAR_A = "A"
 VAR_T = "t"
@@ -68,29 +68,23 @@ def is_integral(value: Slope) -> bool:
 class LaurentPoly:
     """Immutable Laurent polynomial with integer coefficients.
 
-    Stored sparsely as exponent -> coefficient with no zero entries.
+    Stored sparsely as exponent -> coefficient with no zero entries.  It is
+    the exact value both Jones routes decode into, so it carries no ring
+    arithmetic: only negation, shifting and evaluation.
     """
 
-    __slots__ = ("variable", "_coeffs", "_hash")
+    __slots__ = ("variable", "_coeffs")
 
-    def __init__(self, variable: str, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
+    def __init__(self, variable: str, coeffs: Mapping[int, int]):
         if variable not in (VAR_A, VAR_T):
             raise ValueError(f"unknown variable tag {variable!r}")
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        table: dict[int, int] = {}
-        for exp, c in items:
-            if not isinstance(exp, int) or not isinstance(c, int):
-                raise TypeError("exponents and coefficients must be int")
-            c = table.get(exp, 0) + c
-            if c:
-                table[exp] = c
-            else:
-                table.pop(exp, None)
+        if not isinstance(coeffs, Mapping):
+            raise TypeError("coefficients must be a mapping of exponent to coefficient")
+        for exp, c in coeffs.items():
+            if not all(isinstance(v, int) and not isinstance(v, bool) for v in (exp, c)):
+                raise TypeError(f"exponents and coefficients must be int, got {exp!r}: {c!r}")
         self.variable = variable
-        self._coeffs = table
-        self._hash = None
-
-    # -- constructors ------------------------------------------------------
+        self._coeffs = {exp: c for exp, c in coeffs.items() if c}
 
     @classmethod
     def _raw(cls, variable: str, table: dict[int, int]) -> "LaurentPoly":
@@ -98,24 +92,7 @@ class LaurentPoly:
         p = cls.__new__(cls)
         p.variable = variable
         p._coeffs = table
-        p._hash = None
         return p
-
-    @classmethod
-    def zero(cls, variable: str) -> "LaurentPoly":
-        return cls(variable)
-
-    @classmethod
-    def one(cls, variable: str) -> "LaurentPoly":
-        return cls(variable, {0: 1})
-
-    @classmethod
-    def constant(cls, variable: str, c: int) -> "LaurentPoly":
-        return cls(variable, {0: c})
-
-    @classmethod
-    def monomial(cls, variable: str, exp: int, c: int = 1) -> "LaurentPoly":
-        return cls(variable, {exp: c})
 
     # -- inspection --------------------------------------------------------
 
@@ -136,62 +113,10 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no degree span")
         return (min(self._coeffs), max(self._coeffs))
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _check(self, other: "LaurentPoly") -> None:
-        if not isinstance(other, LaurentPoly):
-            raise TypeError(f"expected LaurentPoly, got {type(other).__name__}")
-        if other.variable != self.variable:
-            raise ValueError(
-                f"variable mismatch: {self.variable!r} vs {other.variable!r}"
-            )
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        table = dict(self._coeffs)
-        for exp, c in other._coeffs.items():
-            c = table.get(exp, 0) + c
-            if c:
-                table[exp] = c
-            else:
-                table.pop(exp, None)
-        return self._raw(self.variable, table)
+    # -- transforms --------------------------------------------------------
 
     def __neg__(self) -> "LaurentPoly":
         return self._raw(self.variable, {e: -c for e, c in self._coeffs.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        table: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                c = table.get(e, 0) + c1 * c2
-                if c:
-                    table[e] = c
-                else:
-                    del table[e]
-        return self._raw(self.variable, table)
-
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = LaurentPoly.one(self.variable)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def scaled(self, c: int) -> "LaurentPoly":
-        if c == 0:
-            return LaurentPoly.zero(self.variable)
-        return self._raw(self.variable, {e: k * c for e, k in self._coeffs.items()})
 
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by variable**k."""
@@ -203,7 +128,7 @@ class LaurentPoly:
         Rejects the infinite slope outright and rejects 0 when a negative
         exponent is present.
         """
-        if value is INF or isinstance(value, _Infinity):
+        if value is INF:
             raise ValueError("cannot evaluate at inf")
         value = Fraction(value)
         if value == 0 and self._coeffs and min(self._coeffs) < 0:
@@ -223,9 +148,7 @@ class LaurentPoly:
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.variable, tuple(sorted(self._coeffs.items()))))
-        return self._hash
+        return hash((self.variable, tuple(sorted(self._coeffs.items()))))
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -254,10 +177,3 @@ def delta_power(k: int) -> LaurentPoly:
     sign = -1 if k % 2 else 1
     return LaurentPoly._raw(VAR_A, {2 * k - 4 * j: sign * comb(k, j) for j in range(k + 1)})
 
-
-def format_span_coeffs(p: LaurentPoly) -> str:
-    """Render as ``span=(m,M); coeffs=[c_m,...,c_M]`` with interior zeros."""
-    lo, hi = p.degree_span()
-    coeffs = [p.coefficient(e) for e in range(lo, hi + 1)]
-    body = ",".join(str(c) for c in coeffs)
-    return f"span=({lo},{hi}); coeffs=[{body}]"

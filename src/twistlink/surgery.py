@@ -56,12 +56,12 @@ class SurgeryPresentation:
             raise ValueError("component names must be distinct")
         if len(self.linking) != k or any(len(row) != k for row in self.linking):
             raise ValueError("linking matrix size must match component count")
-        for i in range(k):
-            if self.linking[i][i] != 0:
+        # row i's prefix against column i's, both as tuples so list rows work
+        for i, (row, col) in enumerate(zip(self.linking, zip(*self.linking))):
+            if row[i] != 0:
                 raise ValueError("linking diagonal must be zero")
-            for j in range(i):
-                if self.linking[i][j] != self.linking[j][i]:
-                    raise ValueError("linking matrix must be symmetric")
+            if tuple(row[:i]) != col[:i]:
+                raise ValueError("linking matrix must be symmetric")
 
     def index(self, name: str) -> int:
         for i, c in enumerate(self.components):

@@ -337,6 +337,13 @@ def test_output_flag(tmp_path, capsys):
     assert target.read_text() == "span=(1,4) coeffs=[1,0,1,-1]\n"
 
 
+def test_output_flag_unwritable_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "rows.txt"
+    code, out, err = run(capsys, "--output", str(target), "jones", "2: 1 1 1")
+    assert code == 1 and not out
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+
 def test_nonpositive_limit_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["--statesum-limit", "0", "jones", "1:"])

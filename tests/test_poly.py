@@ -1,8 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from oracles import poly_pow
 from twistlink.poly import (
@@ -12,36 +10,19 @@ from twistlink.poly import (
     VAR_T,
     delta_power,
     format_slope,
-    format_span_coeffs,
     is_integral,
     parse_slope,
 )
-
-small_polys = st.dictionaries(
-    st.integers(min_value=-6, max_value=6),
-    st.integers(min_value=-9, max_value=9),
-    max_size=5,
-).map(lambda d: LaurentPoly(VAR_A, d))
-
 
 def test_constructor_drops_zero_coefficients():
     p = LaurentPoly(VAR_A, {3: 0, 1: 2})
     assert dict(p.terms()) == {1: 2}
 
 
-def test_basic_arithmetic():
-    a = LaurentPoly(VAR_A, {1: 1, -1: 1})
-    sq = a * a
-    assert dict(sq.terms()) == {2: 1, 0: 2, -2: 1}
-    assert (sq - sq).is_zero
-    assert dict((a + a).terms()) == {1: 2, -1: 2}
-    assert sq == a**2
-
-
 def test_shift_scale_and_coefficient():
     p = LaurentPoly(VAR_A, {0: 1, 2: -3})
     assert dict(p.shifted(-2).terms()) == {-2: 1, 0: -3}
-    assert dict(p.scaled(-1).terms()) == {0: -1, 2: 3}
+    assert dict((-p).terms()) == {0: -1, 2: 3}
     assert p.coefficient(2) == -3
     assert p.coefficient(5) == 0
 
@@ -52,38 +33,34 @@ def test_degree_span_rejects_zero():
 
 
 def test_variable_mismatch_rejected():
+    # same table, different tags: never equal
     a = LaurentPoly(VAR_A, {0: 1})
     t = LaurentPoly(VAR_T, {0: 1})
+    assert a != t
+    assert a == LaurentPoly(VAR_A, {0: 1}) and hash(a) == hash(LaurentPoly(VAR_A, {0: 1}))
+
+
+def test_constructor_rejects_bools():
+    # True would render as span=(True,3), a row that does not parse back
+    for bad in ({True: 1, 3: 2}, {0: False}, {False: True}):
+        with pytest.raises(TypeError):
+            LaurentPoly(VAR_T, bad)
+
+
+def test_constructor_takes_int_mappings_only():
+    for bad in ([(0, 1)], ((0, 1), (0, 2)), None):
+        with pytest.raises(TypeError):
+            LaurentPoly(VAR_A, bad)
+    for bad in ({0: 1.0}, {"1": 1}, {0.5: 1}):
+        with pytest.raises(TypeError):
+            LaurentPoly(VAR_A, bad)
     with pytest.raises(ValueError):
-        a + t
+        LaurentPoly("x", {0: 1})
 
 
 def test_substitute():
     p = LaurentPoly(VAR_T, {2: 1, 0: -1, -1: 3})
     assert p.substitute(Fraction(2)) == Fraction(4) - 1 + Fraction(3, 2)
-
-
-def test_format_span_coeffs_fills_interior_zeros():
-    p = LaurentPoly(VAR_T, {1: 1, 4: -1})
-    assert format_span_coeffs(p) == "span=(1,4); coeffs=[1,0,0,-1]"
-
-
-@given(small_polys, small_polys)
-def test_addition_commutes(p, q):
-    assert p + q == q + p
-
-
-@given(small_polys, small_polys, small_polys)
-def test_multiplication_distributes(p, q, r):
-    assert p * (q + r) == p * q + p * r
-
-
-@given(small_polys, st.integers(min_value=0, max_value=4))
-def test_pow_matches_repeated_product(p, k):
-    expected = LaurentPoly(VAR_A, {0: 1})
-    for _ in range(k):
-        expected = expected * p
-    assert p**k == expected
 
 
 def test_delta_power_matches_repeated_product():

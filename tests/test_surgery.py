@@ -63,6 +63,15 @@ def test_presentation_validation():
         SurgeryPresentation(
             (Component("a", Fraction(1), True),), ((1,),), frozenset()
         )
+    # row 1 breaks symmetry before row 2 breaks the diagonal, and vice versa
+    three = tuple(Component(n, Fraction(1), True) for n in "abc")
+    with pytest.raises(ValueError, match="symmetric"):
+        SurgeryPresentation(three, ((0, 1, 0), (2, 0, 0), (0, 0, 5)), frozenset())
+    with pytest.raises(ValueError, match="diagonal"):
+        SurgeryPresentation(three, ((0, 0, 1), (0, 5, 0), (2, 0, 0)), frozenset())
+    # list rows are accepted and compare equal to their transposed columns
+    p = SurgeryPresentation(three, [[0, 1, -2], [1, 0, 3], [-2, 3, 0]], frozenset())
+    assert p.lk("a", "c") == -2 and p.lk("c", "b") == 3
 
 
 def test_meridian_edge_validation():
