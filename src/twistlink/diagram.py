@@ -39,12 +39,6 @@ class PlanarDiagram:
     free_loops: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
 
-    def component_of(self, arc: int) -> int:
-        for k, comp in enumerate(self.components):
-            if arc in comp:
-                return k
-        raise ValueError(f"unknown arc {arc}")
-
 
 def braid_closure(b: BraidWord) -> PlanarDiagram:
     """Standard closure of ``b`` after cyclic free reduction."""
@@ -115,7 +109,7 @@ def linking_matrix(d: PlanarDiagram) -> list[list[int]]:
     for row in twice:
         for v in row:
             if v % 2:
-                raise AssertionError("inter-component crossing signs must sum evenly")
+                raise RuntimeError("inter-component crossing signs must sum evenly")
     return [[v // 2 for v in row] for row in twice]
 
 

@@ -2,8 +2,9 @@
 
 Route one is the state sum (``twistlink.statesum``): every smoothing
 state of the diagram is weighted A^(a-b) * delta^(loops-1), delta =
--A^2 - A^-2, and the states are counted by contracting the diagram one
-crossing at a time.  Route two (``twistlink.transfer``) represents braid
+-A^2 - A^-2, and the weights are summed by contracting the diagram one
+crossing at a time, each loop entering as a factor delta when it
+closes.  Route two (``twistlink.transfer``) represents braid
 letters in the Temperley-Lieb algebra (sigma_i -> A + A^-1 e_i) and
 closes with the Markov trace.  The two modules share no skein logic, so
 exact agreement between them is a meaningful check; the test suite

@@ -49,13 +49,12 @@ def test_component_count_follows_gcd():
         assert len(braid_closure(torus_braid(p, q)).components) == gcd(p, q)
 
 
-def test_component_of_covers_all_arcs():
-    d = close("3: 1 -2 1 -2")
-    for k, comp in enumerate(d.components):
-        for arc in comp:
-            assert d.component_of(arc) == k
-    with pytest.raises(ValueError):
-        d.component_of(999)
+def test_components_partition_the_arcs():
+    for text in ("3: 1 -2 1 -2", "4: 1 1 3", "2: 1 1 1 1", "3:"):
+        d = close(text)
+        arcs = sorted(a for comp in d.components for a in comp)
+        ends = {a for c in d.crossings for a in (c.in_left, c.in_right, c.out_left, c.out_right)}
+        assert arcs == sorted(ends | set(d.free_loops)) == list(range(len(arcs)))
 
 
 def test_linking_matrix_hopf():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistlink import transfer
+from twistlink import statesum, transfer
 from twistlink.braid import (
     BraidWord,
     conjugate,
@@ -138,6 +138,20 @@ def test_transfer_guard_catches_narrow_slots(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_statesum_guard_catches_narrow_slots(monkeypatch, capsys):
+    # the bracket of this closure has coefficients up to 13 in absolute
+    # value, which 2-bit slots cannot hold
+    text = "4: " + " ".join(["1 -2 3"] * 3)
+    monkeypatch.setattr(statesum, "slot_width", lambda growth: 2)
+    with pytest.raises(RuntimeError, match="A = 1"):
+        jones_of(text)
+    # 9 crossings is within the default state-sum limit, so the CLI takes
+    # the state sum and must not print a row
+    with pytest.raises(RuntimeError, match="A = 1"):
+        main(["jones", text])
+    assert capsys.readouterr().out == ""
+
+
 def test_markov_moves_preserve_jones():
     rng = random.Random(7)
     for _ in range(25):
@@ -197,6 +211,14 @@ def test_statesum_beyond_eight_strands():
     for b in (nine, thirteen):
         d = braid_closure(b)
         assert len(d.crossings) == 28
+        assert jones(d, limit=len(d.crossings)) == jones_tl(b, limit=b.strands)
+
+
+def test_statesum_matches_tl_on_torus_knots():
+    # T(8,9) peaks at Catalan(8) frontier keys; the 1500-strand closure has
+    # 1498 free loops, which the state sum takes in as one delta power
+    for b in (torus_braid(7, 8), torus_braid(8, 9), parse_braid("1500: 1 1 1")):
+        d = braid_closure(b)
         assert jones(d, limit=len(d.crossings)) == jones_tl(b, limit=b.strands)
 
 
