@@ -41,10 +41,15 @@ A * delta^L_A * v and A^-1 * delta^L_B * v, and the coefficients of
 delta^L add up to 2^L in absolute value, so the measure grows by at most
 2^m_A + 2^m_B.  Every coefficient, intermediate or final, is thus at
 most the product ``growth`` of these factors (at most 8^c), which
-``slot_width`` holds with a sign bit.  As a runtime guard the bracket at
+``slot_width`` holds with a sign bit.  As runtime guards the bracket at
 A = 1 must equal (-1)^w (-2)^(mu-1), with w the writhe and mu the number
-of components, because the Jones polynomial at t = 1 is (-2)^(mu-1);
-``bracket`` raises RuntimeError if it does not.
+of components, because the Jones polynomial at t = 1 is (-2)^(mu-1); and
+at A = zeta = e^(i pi/3), where -A^3 = 1 and delta = 1, it must equal 1,
+because V(e^(2 pi i/3)) = 1 for every link (Jones, Bull. AMS 12, 1985).
+The second check reduces each exponent mod 6 and uses zeta^2 = zeta - 1,
+so it is exact in integers; it catches wrong decodes whose value at
+A = 1 is still right.  ``bracket`` raises RuntimeError if either check
+fails.
 
 This module shares no skein code with the Temperley-Lieb route.
 """
@@ -122,7 +127,8 @@ def _move(key: tuple[int, ...], f: int, joins, kept, newpos, keys, ids) -> list[
 def bracket(d: PlanarDiagram) -> LaurentPoly:
     """Kauffman bracket of ``d``, normalized to <unknot> = 1.
 
-    Raises RuntimeError if the decoded bracket fails the A = 1 check.
+    Raises RuntimeError if the decoded bracket fails the check at A = 1 or
+    at A = e^(i pi/3).
     """
     shapes: dict[tuple, tuple] = {}
     plan = []
@@ -203,12 +209,26 @@ def bracket(d: PlanarDiagram) -> LaurentPoly:
         table = {e: coef for e, coef in product.items() if coef}
     result = LaurentPoly._raw(VAR_A, table)
 
+    # coefficient sums by exponent mod 6, for the checks at A = 1 and at
+    # A = zeta = e^(i pi/3), where zeta^2 = zeta - 1 and zeta^3 = -1
+    sums = [0] * 6
+    for e, coef in table.items():
+        sums[e % 6] += coef
     w = sum(cr.sign for cr in d.crossings)
     expected = (-1) ** (w % 2) * (-2) ** (len(d.components) - 1)
-    at_one = sum(table.values())
+    at_one = sum(sums)
     if at_one != expected:
         raise RuntimeError(
             f"state-sum bracket at A = 1 is {at_one}, expected {expected}: "
+            f"slots of {width} bits overflowed"
+        )
+    # -zeta^3 = 1 and V(e^(2 pi i/3)) = 1, so every bracket is 1 at zeta
+    x = sums[0] - sums[2] - sums[3] + sums[5]
+    y = sums[1] + sums[2] - sums[4] - sums[5]
+    if (x, y) != (1, 0):
+        sign = "-" if y < 0 else "+"
+        raise RuntimeError(
+            f"state-sum bracket at A = e^(i pi/3) is {x} {sign} {abs(y)} zeta, expected 1: "
             f"slots of {width} bits overflowed"
         )
     return result

@@ -42,6 +42,10 @@ class SurgeryPresentation:
     meridian_edges: frozenset[tuple[str, str]]
 
     def __post_init__(self) -> None:
+        for c in self.components:
+            _check_name(c.name)
+        for row in self.linking:
+            _check_linking(row)
         self._check_matrix()
         names, own = _edge_index(self.components, self.meridian_edges)
         for edge in sorted(self.meridian_edges):
@@ -74,6 +78,23 @@ class SurgeryPresentation:
 
     def lk(self, a: str, b: str) -> int:
         return self.linking[self.index(a)][self.index(b)]
+
+
+def _check_name(name) -> None:
+    """Reject a component name that ``parse_presentation`` could not read back."""
+    if not isinstance(name, str):
+        raise TypeError(f"component name must be a str, got {type(name).__name__}")
+    if name.split() != [name] or "#" in name:
+        raise ValueError(f"component name {name!r} must be one word without '#'")
+    if name in ("components", "lk", "meridian"):
+        raise ValueError(f"component name {name!r} is a keyword of the presentation format")
+
+
+def _check_linking(values) -> None:
+    """Reject a linking value that is not an int; a bool would render as True."""
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"linking values must be int, got {type(v).__name__} {v!r}")
 
 
 def _edge_index(components, edges) -> tuple[dict[str, int], dict[str, set[str]]]:
@@ -233,14 +254,17 @@ def blow_up(
         raise ValueError("blow-up framing must be +1 or -1")
     if len(links_to) != len(p.components):
         raise ValueError("linking vector length must match component count")
+    _check_linking(links_to)
     if name is None:
         taken = {c.name for c in p.components}
         k = 1
         while f"u{k}" in taken:
             k += 1
         name = f"u{k}"
-    elif any(c.name == name for c in p.components):
-        raise ValueError(f"component name {name!r} already in use")
+    else:
+        _check_name(name)
+        if any(c.name == name for c in p.components):
+            raise ValueError(f"component name {name!r} already in use")
     comps = []
     for comp, v in zip(p.components, links_to):
         coeff = comp.coefficient

@@ -29,14 +29,29 @@ a vector by the sum of the absolute values of all its coefficients.  A
 letter at most doubles it (the curl term keeps it), and the closure
 multiplies it by at most 2^(n-1), so every coefficient of the bracket
 of a c-letter word is at most 2^(c+n-1) in absolute value, which
-``slot_width`` holds with a sign bit.  As a runtime guard, the
-decoded bracket at A = 1 must equal (-1)^w * (-2)^(mu-1), with w the
-exponent sum and mu the number of cycles of the strand permutation,
-because the Jones polynomial at t = 1 is (-2)^(mu-1); ``bracket`` raises
-RuntimeError if it does not.
+``slot_width`` holds with a sign bit.  As runtime guards, the decoded
+bracket at A = 1 must equal (-1)^w * (-2)^(mu-1), with w the exponent
+sum and mu the number of cycles of the strand permutation, because the
+Jones polynomial at t = 1 is (-2)^(mu-1); and at A = zeta = e^(i pi/3),
+where -A^3 = 1 and delta = 1, it must equal 1, because V(e^(2 pi i/3))
+= 1 for every link (Jones, Bull. AMS 12, 1985).  The second check is
+exact in integers: reduce each exponent mod 6, use zeta^2 = zeta - 1,
+and compare x + y zeta with 1; it catches wrong decodes whose value at
+A = 1 is still right.  ``bracket`` raises RuntimeError if either check
+fails.
 
-Matchings are interned to small ids, and each id's e_j move is computed
-once per generator, so a letter costs dict lookups on ints.
+The vector is a list indexed by matching id, and matchings get ids in
+the order they are first reached.  Every image of e_j is a matching in
+which e_j closes a loop, so each generator j keeps, for the length of a
+call, a table from each such loop id l to the ids that e_j sends to l.
+The table is extended when a letter starts, over the ids reached since
+its last extension; an id whose entry is zero then waits for a later
+letter, because e_j of it would only add ids that stay zero.  A letter
+g > 0 is one list comprehension for the identity term ``v << 2 * width``,
+after which each loop id l gets ``(sum of its preimages' values <<
+width) - v_l``.  A letter g < 0 leaves every other entry as it is and
+gives l the value ``(sum << width) - (v_l << 2 * width)``.  A letter so
+costs a shift per id and an add per preimage, with no dict lookups.
 
 This module shares no skein code with the state-sum route.
 """
@@ -129,60 +144,75 @@ def _cycle_count(perm: list[int]) -> int:
 def bracket(b: BraidWord) -> LaurentPoly:
     """Kauffman bracket of the closure of ``b``, normalized to <unknot> = 1.
 
-    Raises RuntimeError if the decoded bracket fails the A = 1 check.
+    Raises RuntimeError if the decoded bracket fails the check at A = 1 or
+    at A = e^(i pi/3).
     """
     n = b.strands
     width = slot_width(len(b.letters), n)
+    curl = 2 * width
     matchings = [identity_matching(n)]
     ids = {matchings[0]: 0}
-    moves: list[dict[int, int]] = [{} for _ in range(n)]  # moves[j][m]: id of e_j m
-    vec = {0: 1}
+    # tables[j][l]: the ids that e_j sends to l, for every l in which e_j
+    # closes a loop.  It covers the ids below known[j] except those in
+    # idle[j], which were zero when it was extended.
+    tables: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    known = [0] * n
+    idle: list[list[int]] = [[] for _ in range(n)]
+    vec = [1]
     low = 0
     for step, g in enumerate(b.letters, 1):
         j = abs(g)
-        move = moves[j]
-        if g > 0:
-            low -= 3
-            stay, curl = 2 * width, 0
-        else:
-            low -= 1
-            stay, curl = 0, 2 * width
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for m, v in vec.items():
-            m2 = move.get(m)
-            if m2 is None:
-                target = apply_e(matchings[m], j, n)
+        table = tables[j]
+        if idle[j] or known[j] < len(matchings):
+            todo = idle[j] + list(range(known[j], len(matchings)))
+            idle[j] = []
+            for m in todo:
+                if not vec[m]:
+                    idle[j].append(m)
+                    continue
+                source = matchings[m]
+                target = apply_e(source, j, n)
+                if target is source:
+                    table.setdefault(m, [])
+                    continue
                 m2 = ids.get(target)
                 if m2 is None:
                     m2 = ids[target] = len(matchings)
                     matchings.append(target)
-                move[m] = m2
-            # a zero shift would copy a big int, and 0 + x copies x
-            if m2 == m:  # e_j closed a loop
-                x = -(v << curl) if curl else -v
-                prev = get(m)
-                nxt[m] = x if prev is None else prev + x
-            else:
-                x = v << stay if stay else v
-                prev = get(m)
-                nxt[m] = x if prev is None else prev + x
-                x = v << width
-                prev = get(m2)
-                nxt[m2] = x if prev is None else prev + x
-        if step % n:
-            vec = {m: v for m, v in nxt.items() if v}
-        else:  # drop the slots that are zero in every entry
-            lowest = reduce(or_, nxt.values())
+                    vec.append(0)
+                table.setdefault(m2, []).append(m)
+            known[j] = len(matchings)
+        if g > 0:
+            low -= 3
+            nxt = [v << curl for v in vec]
+            for m, pre in table.items():
+                total = 0
+                for p in pre:
+                    total += vec[p]
+                nxt[m] = (total << width) - vec[m]
+            vec = nxt
+        else:
+            low -= 1
+            # e_j maps only non-loop ids into loop ids, and the identity
+            # term leaves non-loop entries as they are
+            for m, pre in table.items():
+                total = 0
+                for p in pre:
+                    total += vec[p]
+                vec[m] = (total << width) - (vec[m] << curl)
+        if not step % n:  # drop the slots that are zero in every entry
+            lowest = reduce(or_, vec)
             drop = ((lowest & -lowest).bit_length() - 1) // width
-            bits = drop * width
-            vec = {m: v >> bits for m, v in nxt.items() if v}
-            low += 2 * drop
+            if drop:
+                bits = drop * width
+                vec = [v >> bits for v in vec]
+                low += 2 * drop
 
     by_loops: dict[int, int] = {}
-    for m, v in vec.items():
-        loops = closure_loops(matchings[m], n)
-        by_loops[loops] = by_loops.get(loops, 0) + v
+    for m, v in enumerate(vec):
+        if v:
+            loops = closure_loops(matchings[m], n)
+            by_loops[loops] = by_loops.get(loops, 0) + v
     # align every group to the lowest exponent delta^(n-1) can reach
     packed = sum(
         (v * _packed_delta_power(loops - 1, width)) << ((n - loops) * width)
@@ -190,12 +220,26 @@ def bracket(b: BraidWord) -> LaurentPoly:
     )
     result = _unpack(packed, low - 2 * (n - 1), width)
 
+    # coefficient sums by exponent mod 6, for the checks at A = 1 and at
+    # A = zeta = e^(i pi/3), where zeta^2 = zeta - 1 and zeta^3 = -1
+    sums = [0] * 6
+    for e, c in result.terms():
+        sums[e % 6] += c
     w = b.writhe()
     expected = (-1) ** (w % 2) * (-2) ** (_cycle_count(b.permutation()) - 1)
-    at_one = sum(c for _, c in result.terms())
+    at_one = sum(sums)
     if at_one != expected:
         raise RuntimeError(
             f"transfer bracket at A = 1 is {at_one}, expected {expected}: "
+            f"slots of {width} bits overflowed"
+        )
+    # -zeta^3 = 1 and V(e^(2 pi i/3)) = 1, so every bracket is 1 at zeta
+    x = sums[0] - sums[2] - sums[3] + sums[5]
+    y = sums[1] + sums[2] - sums[4] - sums[5]
+    if (x, y) != (1, 0):
+        sign = "-" if y < 0 else "+"
+        raise RuntimeError(
+            f"transfer bracket at A = e^(i pi/3) is {x} {sign} {abs(y)} zeta, expected 1: "
             f"slots of {width} bits overflowed"
         )
     return result

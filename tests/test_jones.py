@@ -136,6 +136,10 @@ def test_transfer_guard_catches_narrow_slots(monkeypatch, capsys):
     with pytest.raises(RuntimeError, match="A = 1"):
         main(["jones", text])
     assert capsys.readouterr().out == ""
+    # this closure decodes to a wrong bracket that is still right at A = 1
+    b = BraidWord(6, (4, -3, 5, -1, 4, 5, -1, -3, 2, 4, -1, 5))
+    with pytest.raises(RuntimeError, match=r"^transfer bracket at A = e\^\(i pi/3\) is 8 - 17 zeta"):
+        transfer.bracket(b)
 
 
 def test_statesum_guard_catches_narrow_slots(monkeypatch, capsys):
@@ -150,6 +154,10 @@ def test_statesum_guard_catches_narrow_slots(monkeypatch, capsys):
     with pytest.raises(RuntimeError, match="A = 1"):
         main(["jones", text])
     assert capsys.readouterr().out == ""
+    # this closure decodes to a wrong bracket that is still right at A = 1
+    d = braid_closure(BraidWord(6, (3, 2, 5, 5, -4, -2, 3, -1, -5, 2, -1, -1, 2)))
+    with pytest.raises(RuntimeError, match=r"^state-sum bracket at A = e\^\(i pi/3\) is -8 \+ 6 zeta"):
+        statesum.bracket(d)
 
 
 def test_markov_moves_preserve_jones():
@@ -212,6 +220,18 @@ def test_statesum_beyond_eight_strands():
         d = braid_closure(b)
         assert len(d.crossings) == 28
         assert jones(d, limit=len(d.crossings)) == jones_tl(b, limit=b.strands)
+    # unreduced words of both signs on many strands reach new matchings
+    # in mid-word, and short words on many strands leave most ids unseen
+    rng = random.Random(9)
+    words = [parse_braid("12: 1 2 3 4 5 6 7 8 9 10 11"), torus_braid(11, 3)]
+    for n in (9, 10, 11, 12):
+        size = rng.randint(20, 45)
+        words.append(
+            BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(size)))
+        )
+    for b in words:
+        d = braid_closure(b)
+        assert jones(d, limit=len(d.crossings)) == jones_tl(b, limit=b.strands), b
 
 
 def test_statesum_matches_tl_on_torus_knots():

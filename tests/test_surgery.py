@@ -588,6 +588,35 @@ def test_render_parse_round_trip():
     assert parse_presentation(render_presentation(q)) == q
 
 
+def test_public_paths_reject_values_the_format_cannot_carry():
+    # each of these would render, but not parse back to the same presentation
+    base = presentation([("a", 2, True)])
+    for bad in ("a b", "#c", "c#d", "", "components", "lk", "meridian"):
+        with pytest.raises(ValueError, match="^component name "):
+            presentation([(bad, 1, True)])
+        with pytest.raises(ValueError, match="^component name "):
+            SurgeryPresentation((Component(bad, Fraction(1), True),), ((0,),), frozenset())
+        with pytest.raises(ValueError, match="^component name "):
+            blow_up(base, 1, [0], name=bad)
+    with pytest.raises(TypeError, match="^component name must be a str, got int$"):
+        presentation([(5, 1, True)])
+    with pytest.raises(TypeError, match="^linking values must be int, got bool True$"):
+        presentation([("a", 1, True), ("b", 1, True)], {("a", "b"): True})
+    two = (Component("a", Fraction(1), True), Component("b", Fraction(1), True))
+    with pytest.raises(TypeError, match="^linking values must be int, got bool False$"):
+        SurgeryPresentation(two, ((0, False), (False, 0)), frozenset())
+    with pytest.raises(TypeError, match="^linking values must be int, got bool True$"):
+        blow_up(base, 1, [True])
+    # what the checks let through comes back unchanged
+    p = presentation(
+        [("lk2", 1, True), ("inf", "3/2", True), ("0", INF, False), ("m.2", -1, True)],
+        {("lk2", "inf"): 1, ("inf", "0"): -3, ("m.2", "lk2"): 1},
+        [("m.2", "lk2")],
+    )
+    p = blow_up(p, -1, [0, 1, 0, 0], name="x-1")
+    assert parse_presentation(render_presentation(p)) == p
+
+
 # -- randomized invariance --------------------------------------------------
 
 
