@@ -62,7 +62,7 @@ from functools import reduce
 from operator import or_
 
 from .braid import BraidWord
-from .poly import VAR_A, LaurentPoly, delta_power
+from .poly import VAR_A, LaurentPoly
 
 
 def identity_matching(n: int) -> tuple[int, ...]:
@@ -107,25 +107,61 @@ def slot_width(crossings: int, strands: int) -> int:
     return crossings + strands + 1
 
 
+# a run of at most this many fields is joined or split one field at a
+# time; past it, halving keeps the work near linear in the int's size
+_LEAF_FIELDS = 32
+
+
+def _join(fields: list[int], width: int) -> int:
+    """sum(fields[i] << i * width), the polynomial with these coefficients at 2^width."""
+    if len(fields) > _LEAF_FIELDS:
+        mid = len(fields) // 2
+        return _join(fields[:mid], width) + (_join(fields[mid:], width) << mid * width)
+    x = 0
+    for f in reversed(fields):
+        x = (x << width) + f
+    return x
+
+
+def _split(x: int, count: int, width: int) -> list[int]:
+    """The lowest ``count`` fields of ``width`` bits of x >= 0, lowest first."""
+    if count > _LEAF_FIELDS:
+        mid = count // 2
+        bits = mid * width
+        return _split(x & ((1 << bits) - 1), mid, width) + _split(x >> bits, count - mid, width)
+    mask = (1 << width) - 1
+    fields = []
+    for _ in range(count):
+        fields.append(x & mask)
+        x >>= width
+    return fields
+
+
 def _packed_delta_power(k: int, width: int) -> int:
-    """delta^k in slots one A^2 apart, starting at A^(-2k)."""
-    return sum(c << ((e + 2 * k) // 2 * width) for e, c in delta_power(k).terms())
+    """delta^k in slots one A^2 apart, starting at A^(-2k).
+
+    delta^k = (-1)^k sum_j C(k, j) A^(4j-2k), so slot 2j holds (-1)^k C(k, j)
+    and the odd slots are zero: the binomials joined in fields of two slots.
+    """
+    binomials = [1]
+    for j in range(k):
+        binomials.append(binomials[-1] * (k - j) // (j + 1))
+    packed = _join(binomials, 2 * width)
+    return -packed if k % 2 else packed
 
 
 def _unpack(packed: int, low: int, width: int) -> LaurentPoly:
-    """Decode signed slots one A^2 apart, the first at A^low."""
-    mask = (1 << width) - 1
+    """Decode signed slots one A^2 apart, the first at A^low.
+
+    Adding ``half`` to every slot makes each slot a field in [0, 2^width)
+    that borrows from no other, so the fields split apart independently.
+    Two slots above the top bit are enough to absorb a negative top slot.
+    """
     half = 1 << (width - 1)
-    table: dict[int, int] = {}
-    while packed:
-        c = packed & mask
-        if c >= half:
-            c -= 1 << width
-        if c:
-            table[low] = c
-        packed = (packed - c) >> width
-        low += 2
-    return LaurentPoly(VAR_A, table)
+    count = packed.bit_length() // width + 2
+    fields = _split(packed + _join([half] * count, width), count, width)
+    table = {low + 2 * i: c - half for i, c in enumerate(fields) if c != half}
+    return LaurentPoly._raw(VAR_A, table)
 
 
 def _cycle_count(perm: list[int]) -> int:

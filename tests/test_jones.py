@@ -1,6 +1,8 @@
 import ast
 import importlib.util
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -236,10 +238,64 @@ def test_statesum_beyond_eight_strands():
 
 def test_statesum_matches_tl_on_torus_knots():
     # T(8,9) peaks at Catalan(8) frontier keys; the 1500-strand closure has
-    # 1498 free loops, which the state sum takes in as one delta power
-    for b in (torus_braid(7, 8), torus_braid(8, 9), parse_braid("1500: 1 1 1")):
+    # 1498 free loops, which the state sum takes in as one delta power; on
+    # thousands of strands the transfer closure decodes thousands of slots
+    texts = ("1500: 1 1 1", "3000: 1 1 1", "1500: 1 1 1 2 -1")
+    for b in (torus_braid(7, 8), torus_braid(8, 9), *map(parse_braid, texts)):
         d = braid_closure(b)
         assert jones(d, limit=len(d.crossings)) == jones_tl(b, limit=b.strands)
+
+
+def _fresh_statesum_tables(monkeypatch):
+    # empty shape tables and key ids, as in a fresh process
+    monkeypatch.setattr(statesum, "_shapes", {})
+    monkeypatch.setattr(statesum, "_keys", [()])
+    monkeypatch.setattr(statesum, "_ids", {(): 0})
+
+
+def _random_braids(rng, count, min_strands, max_strands):
+    out = []
+    for _ in range(count):
+        n = rng.randint(min_strands, max_strands)
+        size = rng.randint(0, 14)
+        letters = tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(size))
+        out.append(BraidWord(n, letters))
+    return out
+
+
+def test_statesum_tables_kept_across_calls_do_not_change_brackets(monkeypatch):
+    _fresh_statesum_tables(monkeypatch)
+    rng = random.Random(21)
+    braids = _random_braids(rng, 30, 2, 6) + [torus_braid(4, 5), torus_braid(5, 6)]
+    others = _random_braids(rng, 30, 3, 7)
+    others += [torus_braid(6, 7), ttk_braid(TwistedTorusSpec(5, 2, 3, 1))]
+    expected = [transfer.bracket(b) for b in braids]
+    diagrams = [braid_closure(b) for b in braids]
+    assert [statesum.bracket(d) for d in diagrams] == expected
+    assert [statesum.bracket(d) for d in reversed(diagrams)] == expected[::-1]
+    interleaved = []
+    for d, b in zip(diagrams, others):
+        interleaved.append(statesum.bracket(braid_closure(b)))
+        interleaved.append(statesum.bracket(d))
+    assert interleaved[1::2] == expected
+    assert interleaved[0::2] == [transfer.bracket(b) for b in others]
+
+
+def test_statesum_threads_give_each_key_one_id(monkeypatch):
+    _fresh_statesum_tables(monkeypatch)
+    braids = _random_braids(random.Random(23), 64, 3, 7)
+    expected = [transfer.bracket(b) for b in braids]
+    diagrams = [braid_closure(b) for b in braids]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(statesum.bracket, diagrams, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+    assert len(statesum._ids) == len(statesum._keys)
+    assert all(statesum._ids[key] == i for i, key in enumerate(statesum._keys))
 
 
 def _imported_modules(module: str) -> set[str]:
