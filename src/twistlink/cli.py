@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TextIO
 
 from .braid import (
@@ -29,6 +29,7 @@ from .diagram import braid_closure, dt_code, render_dt
 from .jones import (
     DEFAULT_STATESUM_LIMIT,
     DEFAULT_TL_LIMIT,
+    RunTables,
     determinant,
     format_jones_row,
     jones,
@@ -50,6 +51,8 @@ class RunConfig:
     statesum_limit: int
     tl_limit: int
     oracle: bool
+    # not an option: the route tables of this run, shared by its items
+    tables: RunTables = field(default_factory=RunTables, init=False, compare=False, repr=False)
 
 
 def _split_name(item: str) -> tuple[str | None, str]:
@@ -77,8 +80,8 @@ def _jones_of_text(text: str, cfg: RunConfig):
     b = parse_braid(text)
     letters = free_reduce_cyclic(b.letters)
     if cfg.oracle or len(letters) <= cfg.statesum_limit:
-        return jones(braid_closure(b), limit=len(letters))
-    return jones_tl(BraidWord(b.strands, letters), limit=cfg.tl_limit)
+        return jones(braid_closure(b), limit=len(letters), tables=cfg.tables)
+    return jones_tl(BraidWord(b.strands, letters), limit=cfg.tl_limit, tables=cfg.tables)
 
 
 def cmd_gen(cfg: RunConfig, args: list[str], out: TextIO) -> int:

@@ -15,7 +15,8 @@ the writhe correction V = (-A)^(-3w) * bracket.  Results carry variable
 tag t when every A-exponent is divisible by 4 (knots, odd-component
 links); otherwise the A-form is kept and rendered over half-integer
 powers of t.  This module holds what the routes have in common: their
-size limits, the writhe normalization and the row format.
+size limits, the tables a run keeps for them, the writhe normalization
+and the row format.
 """
 
 from __future__ import annotations
@@ -35,15 +36,35 @@ class LimitExceeded(ValueError):
     """Requested computation is over the configured size limit."""
 
 
-def kauffman_bracket(d: PlanarDiagram, limit: int = DEFAULT_STATESUM_LIMIT) -> LaurentPoly:
-    """Normalized Kauffman bracket of ``d`` by state-sum contraction."""
+class RunTables:
+    """The tables one run keeps for both routes, from one call to the next.
+
+    ``statesum`` and ``transfer`` are each defined and owned by their
+    route; what they keep does not depend on the call, so sharing them
+    across the items of a batch changes no result.  They are freed with
+    this object when the run ends.  A tables object belongs to one
+    thread.
+    """
+
+    def __init__(self) -> None:
+        self.statesum = statesum.Tables()
+        self.transfer = transfer.Tables()
+
+
+def kauffman_bracket(
+    d: PlanarDiagram, limit: int = DEFAULT_STATESUM_LIMIT, tables: RunTables | None = None
+) -> LaurentPoly:
+    """Normalized Kauffman bracket of ``d`` by state-sum contraction.
+
+    ``tables`` is the run's; a call without them starts from fresh ones.
+    """
     c = len(d.crossings)
     if c > limit:
         raise LimitExceeded(
             f"{c} crossings exceeds the state-sum limit {limit}; "
             "raise the limit or use the transfer route"
         )
-    return statesum.bracket(d)
+    return statesum.bracket(d, None if tables is None else tables.statesum)
 
 
 def _writhe_normalize(bracket: LaurentPoly, w: int) -> LaurentPoly:
@@ -58,17 +79,22 @@ def _as_t(p: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(VAR_T, {-e // 4: coef for e, coef in p.terms()})
 
 
-def jones(d: PlanarDiagram, limit: int = DEFAULT_STATESUM_LIMIT) -> LaurentPoly:
+def jones(
+    d: PlanarDiagram, limit: int = DEFAULT_STATESUM_LIMIT, tables: RunTables | None = None
+) -> LaurentPoly:
     """Jones polynomial of a closed diagram, state-sum route."""
-    return _as_t(_writhe_normalize(kauffman_bracket(d, limit), writhe(d)))
+    return _as_t(_writhe_normalize(kauffman_bracket(d, limit, tables), writhe(d)))
 
 
-def jones_tl(b: BraidWord, limit: int = DEFAULT_TL_LIMIT) -> LaurentPoly:
+def jones_tl(
+    b: BraidWord, limit: int = DEFAULT_TL_LIMIT, tables: RunTables | None = None
+) -> LaurentPoly:
     """Jones polynomial of the closure of ``b``, Temperley-Lieb route."""
     n = b.strands
     if n > limit:
         raise LimitExceeded(f"{n} strands exceeds the transfer limit {limit}")
-    return _as_t(_writhe_normalize(transfer.bracket(b), b.writhe()))
+    bracket = transfer.bracket(b, None if tables is None else tables.transfer)
+    return _as_t(_writhe_normalize(bracket, b.writhe()))
 
 
 def mirror_poly(p: LaurentPoly) -> LaurentPoly:

@@ -9,9 +9,7 @@ tags are never equal.  Exponents may be negative.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
-from math import comb
 from typing import Iterator, Mapping
 
 VAR_A = "A"
@@ -162,18 +160,3 @@ class LaurentPoly:
             else:
                 parts.append(f"{c}*{self.variable}^{exp}")
         return f"LaurentPoly({self.variable!r}, {' + '.join(parts)})"
-
-
-@functools.lru_cache(maxsize=None)
-def delta_power(k: int) -> LaurentPoly:
-    """delta**k for the loop value delta = -A^2 - A^-2.
-
-    Built from binomials, delta^k = (-1)^k sum_j C(k, j) A^(2k-4j), so
-    large k costs k+1 binomials rather than squarings of long polynomials.
-    Cached: both Jones routes ask for the same few powers.
-    """
-    if k < 0:
-        raise ValueError("exponent must be a nonnegative integer")
-    sign = -1 if k % 2 else 1
-    return LaurentPoly._raw(VAR_A, {2 * k - 4 * j: sign * comb(k, j) for j in range(k + 1)})
-

@@ -17,13 +17,16 @@ length, a label for each of its four arcs (its frontier position, or f
 plus its index among the four if it is not open yet) and its sign.  The
 shape fixes how every key moves, so each shape caches key -> (key_A,
 loops_A, key_B, loops_B).  A move depends on nothing but the shape and
-the key, so the shape tables and the key ids are kept for the life of
-the process: each call, such as the next item of a batch, reuses the
-moves that earlier calls computed, and only the values, ``low`` and the
-slot width belong to one call.  A module lock is held for each call, so
-that two threads never give two keys one id.  Nothing is evicted; after
-a T(9,10) call the tables keep about 8 MB, and after T(10,11) about
-33 MB (tracemalloc).
+the key, so the shape tables and the key ids belong to a run, not to a
+call: they live in a ``Tables`` object that the run passes to each call,
+and each call, such as the next item of a batch, reuses the moves that
+earlier calls of the run computed.  Only the values, ``low`` and the
+slot width belong to one call, and a call given no tables starts from
+fresh ones.  The tables' lock is held for each call, so that two
+threads never give two keys one id.  Nothing is evicted while the run
+lasts, and all of it is freed with the tables object when the run ends;
+a T(9,10) call leaves about 8 MB in them, and T(10,11) about 33 MB
+(tracemalloc).
 
 Values.  The value of a key is one Python int whose signed slots of
 ``width`` bits hold the coefficients of a polynomial in A, one A^2
@@ -31,14 +34,15 @@ apart; the whole frontier shares the exponent ``low`` of slot 0.  Each
 loop is folded in as a factor delta = -A^-2 (1 + A^4) when it closes.
 When no arc is left open after a crossing, a piece of the diagram is
 complete and every state closes a loop there; that loop is not counted,
-and the bracket is the result times delta^(free loops + pieces - 1), one
-``delta_power`` product.  A join with an arc that opens at the crossing
-leaves that arc's far end open, so only joins of arcs that are open
-already, or that meet the crossing twice, can close a loop; this bounds
-the loops counted in each smoothing by m_A and m_B.  A crossing lowers
-``low`` by max(2 m_A - 1, 2 m_B + 1), so that A^+-1 * delta^L lands on
-whole slots at or above slot 0, and the slots that are then zero in
-every entry are shifted out at the next crossing.
+and the bracket is the result times delta^(free loops + pieces - 1),
+whose binomials are built each from the one before.  A join with an arc
+that opens at the crossing leaves that arc's far end open, so only joins
+of arcs that are open already, or that meet the crossing twice, can
+close a loop; this bounds the loops counted in each smoothing by m_A
+and m_B.  A crossing lowers ``low`` by max(2 m_A - 1, 2 m_B + 1), so
+that A^+-1 * delta^L lands on whole slots at or above slot 0, and the
+slots that are then zero in every entry are shifted out at the next
+crossing.
 
 Width.  An int is the value of its slot polynomial at 2^width, and every
 step is a ring operation, so the result is exact as long as no slot
@@ -68,7 +72,7 @@ from functools import reduce
 from operator import or_
 
 from .diagram import PlanarDiagram
-from .poly import VAR_A, LaurentPoly, delta_power
+from .poly import VAR_A, LaurentPoly
 
 
 def slot_width(growth: int) -> int:
@@ -134,17 +138,24 @@ def _move(key: tuple[int, ...], f: int, joins, kept, newpos, keys, ids) -> list[
     return move
 
 
-# shape -> (moves, joins, kept, newpos, growth, drop), and the key ids,
-# kept for the life of the process (see Keys above)
-_shapes: dict[tuple, tuple] = {}
-_keys: list[tuple[int, ...]] = [()]
-_ids: dict[tuple[int, ...], int] = {(): 0}
-_lock = threading.Lock()
+class Tables:
+    """The shape tables and key ids of one run (see Keys above).
+
+    ``shapes`` maps a shape to (moves, joins, kept, newpos, growth, drop),
+    and ``keys`` and ``ids`` intern the keys.  ``lock`` is held for each
+    call, so that two threads never give two keys one id.
+    """
+
+    def __init__(self) -> None:
+        self.shapes: dict[tuple, tuple] = {}
+        self.keys: list[tuple[int, ...]] = [()]
+        self.ids: dict[tuple[int, ...], int] = {(): 0}
+        self.lock = threading.Lock()
 
 
-def _contract(d: PlanarDiagram) -> tuple[int, int, int, int]:
+def _contract(d: PlanarDiagram, tables: Tables) -> tuple[int, int, int, int]:
     """Packed bracket before the delta power, with its ``low``, slot width and pieces."""
-    keys, ids, shapes = _keys, _ids, _shapes
+    keys, ids, shapes = tables.keys, tables.ids, tables.shapes
     plan = []
     frontier: list[int] = []
     growth = 1
@@ -202,33 +213,77 @@ def _contract(d: PlanarDiagram) -> tuple[int, int, int, int]:
     return states.get(0, 0), low, width, pieces
 
 
-def bracket(d: PlanarDiagram) -> LaurentPoly:
-    """Kauffman bracket of ``d``, normalized to <unknot> = 1.
+# a run of at most this many slots is decoded one slot at a time; a
+# longer one is cut in halves first
+_LEAF_SLOTS = 32
 
-    Raises RuntimeError if the decoded bracket fails the check at A = 1 or
-    at A = e^(i pi/3).
+
+def _decode(packed: int, low: int, width: int) -> dict[int, int]:
+    """Nonzero signed slots of ``packed`` by exponent, one A^2 apart from A^low.
+
+    Adding half = 2^(width-1) to every slot makes each slot a field in
+    [0, 2^width) that borrows from no other, so the int can be cut in
+    halves that decode alone: the work is near linear in the int's size,
+    where taking the slots off the whole int one at a time is quadratic.
+    Two slots above the top bit absorb a negative top slot.
     """
-    with _lock:
-        packed, low, width, pieces = _contract(d)
+    table: dict[int, int] = {}
     mask = (1 << width) - 1
     half = 1 << (width - 1)
-    table: dict[int, int] = {}
-    while packed:
-        coef = packed & mask
-        if coef >= half:
-            coef -= 1 << width
-        if coef:
-            table[low] = coef
-        packed = (packed - coef) >> width
-        low += 2
+
+    def cut(x: int, count: int, e: int) -> None:
+        if count > _LEAF_SLOTS:
+            mid = count // 2
+            bits = mid * width
+            cut(x & ((1 << bits) - 1), mid, e)
+            cut(x >> bits, count - mid, e + 2 * mid)
+            return
+        for i in range(count):
+            coef = (x & mask) - half
+            if coef:
+                table[e + 2 * i] = coef
+            x >>= width
+
+    if packed:
+        count = packed.bit_length() // width + 2
+        # half * (1 + 2^width + ... + 2^((count-1) width)) puts half in every slot
+        cut(packed + half * (((1 << count * width) - 1) // mask), count, low)
+    return table
+
+
+def _times_delta_power(table: dict[int, int], k: int) -> dict[int, int]:
+    """``table`` times delta^k, without its zero coefficients.
+
+    delta^k = (-1)^k sum_j C(k, j) A^(4j-2k), and each binomial is the one
+    before it times (k - j) / (j + 1), so the product costs k+1 passes
+    over the table and no binomial is computed twice.
+    """
+    product: dict[int, int] = {}
+    binomial = -1 if k % 2 else 1
+    for j in range(k + 1):
+        shift = 4 * j - 2 * k
+        for e, coef in table.items():
+            product[e + shift] = product.get(e + shift, 0) + coef * binomial
+        binomial = binomial * (k - j) // (j + 1)
+    return {e: coef for e, coef in product.items() if coef}
+
+
+def bracket(d: PlanarDiagram, tables: Tables | None = None) -> LaurentPoly:
+    """Kauffman bracket of ``d``, normalized to <unknot> = 1.
+
+    ``tables`` carries the shape tables and key ids of earlier calls in
+    the same run; without it the call starts from fresh tables.  Raises
+    RuntimeError if the decoded bracket fails the check at A = 1 or at
+    A = e^(i pi/3).
+    """
+    if tables is None:
+        tables = Tables()
+    with tables.lock:
+        packed, low, width, pieces = _contract(d, tables)
+    table = _decode(packed, low, width)
     extra = len(d.free_loops) + pieces - 1
     if extra:
-        terms = list(delta_power(extra).terms())
-        product: dict[int, int] = {}
-        for e, coef in table.items():
-            for e2, k in terms:
-                product[e + e2] = product.get(e + e2, 0) + coef * k
-        table = {e: coef for e, coef in product.items() if coef}
+        table = _times_delta_power(table, extra)
     result = LaurentPoly._raw(VAR_A, table)
 
     # coefficient sums by exponent mod 6, for the checks at A = 1 and at

@@ -46,12 +46,28 @@ which e_j closes a loop, so each generator j keeps, for the length of a
 call, a table from each such loop id l to the ids that e_j sends to l.
 The table is extended when a letter starts, over the ids reached since
 its last extension; an id whose entry is zero then waits for a later
-letter, because e_j of it would only add ids that stay zero.  A letter
+letter, because e_j of it would only add ids that stay zero, and an id
+that is already in the table is a loop id with nothing to add.  A letter
 g > 0 is one list comprehension for the identity term ``v << 2 * width``,
 after which each loop id l gets ``(sum of its preimages' values <<
 width) - v_l``.  A letter g < 0 leaves every other entry as it is and
 gives l the value ``(sum << width) - (v_l << 2 * width)``.  A letter so
 costs a shift per id and an add per preimage, with no dict lookups.
+
+The matchings, the images of e_j and the closure loop counts do not
+depend on the word, so a run keeps them from one call to the next in a
+``Tables`` object: per strand count, the matchings it has reached by run
+id, the run id of each image a call has looked up, and the loop count
+of each id a call has ended nonzero on.  The values, ``low``, the width,
+the idle lists and the loop tables stay with the call.  A call numbers
+the matchings it reaches in its own order, so that its vector covers
+those alone however many the run knows, and maps its ids to run ids to
+look up images and loop counts; only an image the run does not know yet
+costs ``apply_e`` and a lookup of the matching it gives.  The first call
+on a strand count, when the run knows nothing but the identity, takes
+the run ids as its own and keeps no images, which spares a single call
+the mapping and the stores; the calls after it fill the images in.  A
+library call given no tables starts from fresh ones.
 
 This module shares no skein code with the state-sum route.
 """
@@ -177,53 +193,121 @@ def _cycle_count(perm: list[int]) -> int:
     return cycles
 
 
-def bracket(b: BraidWord) -> LaurentPoly:
+class Tables:
+    """What one run of the transfer keeps from one call to the next.
+
+    For each strand count n: the matchings the run has reached and their
+    run ids, the run id of e_j of every run id whose image a call has
+    looked up, and the closure loop count of every run id on which a call
+    has ended nonzero.  Nothing else is kept.  A tables object takes no
+    lock, so it belongs to one thread.
+    """
+
+    def __init__(self) -> None:
+        # n -> (matchings, ids, images, loops).  images[j][r] is the run id
+        # of e_j of run id r, r itself when e_j closes a loop there, and
+        # loops[r] the closure loop count of r; None or past the end of
+        # its list is not known yet.
+        self.bases: dict[int, tuple[list, dict, list[list], list]] = {}
+
+    def basis(self, n: int) -> tuple[list, dict, list[list], list]:
+        basis = self.bases.get(n)
+        if basis is None:
+            start = identity_matching(n)
+            basis = self.bases[n] = ([start], {start: 0}, [[] for _ in range(n)], [])
+        return basis
+
+
+def bracket(b: BraidWord, tables: Tables | None = None) -> LaurentPoly:
     """Kauffman bracket of the closure of ``b``, normalized to <unknot> = 1.
 
-    Raises RuntimeError if the decoded bracket fails the check at A = 1 or
-    at A = e^(i pi/3).
+    ``tables`` carries the matchings, e_j images and closure loop counts
+    of earlier calls in the same run; without it the call starts from
+    fresh tables.  Raises RuntimeError if the decoded bracket fails the
+    check at A = 1 or at A = e^(i pi/3).
     """
     n = b.strands
     width = slot_width(len(b.letters), n)
     curl = 2 * width
-    matchings = [identity_matching(n)]
-    ids = {matchings[0]: 0}
-    # tables[j][l]: the ids that e_j sends to l, for every l in which e_j
+    matchings, ids, images, loop_counts = (Tables() if tables is None else tables).basis(n)
+    # The call numbers the matchings in the order it reaches them, so that
+    # its vector covers those alone.  When the run has reached nothing on
+    # n yet, these call ids are the run ids (``fresh``).  Otherwise
+    # run_of and local map between the two.
+    fresh = len(matchings) == 1
+    run_of, local = [0], {0: 0}
+    # pre[j][l]: the ids that e_j sends to l, for every l in which e_j
     # closes a loop.  It covers the ids below known[j] except those in
     # idle[j], which were zero when it was extended.
-    tables: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    pre: list[dict[int, list[int]]] = [{} for _ in range(n)]
     known = [0] * n
     idle: list[list[int]] = [[] for _ in range(n)]
     vec = [1]
     low = 0
     for step, g in enumerate(b.letters, 1):
         j = abs(g)
-        table = tables[j]
-        if idle[j] or known[j] < len(matchings):
-            todo = idle[j] + list(range(known[j], len(matchings)))
+        table = pre[j]
+        if idle[j] or known[j] < len(vec):
+            todo = idle[j] + list(range(known[j], len(vec)))
             idle[j] = []
-            for m in todo:
-                if not vec[m]:
-                    idle[j].append(m)
-                    continue
-                source = matchings[m]
-                target = apply_e(source, j, n)
-                if target is source:
-                    table.setdefault(m, [])
-                    continue
-                m2 = ids.get(target)
-                if m2 is None:
-                    m2 = ids[target] = len(matchings)
-                    matchings.append(target)
-                    vec.append(0)
-                table.setdefault(m2, []).append(m)
-            known[j] = len(matchings)
+            if fresh:
+                for m in todo:
+                    if m in table:  # an image of e_j: e_j closes a loop there
+                        continue
+                    if not vec[m]:
+                        idle[j].append(m)
+                        continue
+                    source = matchings[m]
+                    target = apply_e(source, j, n)
+                    if target is source:
+                        table.setdefault(m, [])
+                        continue
+                    m2 = ids.get(target)
+                    if m2 is None:
+                        # append first: an interrupt here must not leave an
+                        # id that the next new matching would get again
+                        matchings.append(target)
+                        m2 = ids[target] = len(matchings) - 1
+                        vec.append(0)
+                    table.setdefault(m2, []).append(m)
+            else:
+                image = images[j]
+                image += [None] * (len(matchings) - len(image))
+                for m in todo:
+                    if m in table:  # an image of e_j: e_j closes a loop there
+                        continue
+                    if not vec[m]:
+                        idle[j].append(m)
+                        continue
+                    r = run_of[m]
+                    t = image[r]
+                    if t is None:
+                        source = matchings[r]
+                        target = apply_e(source, j, n)
+                        if target is source:
+                            t = r
+                        else:
+                            t = ids.get(target)
+                            if t is None:
+                                matchings.append(target)
+                                t = ids[target] = len(matchings) - 1
+                        image[r] = t
+                    if t == r:
+                        table.setdefault(m, [])
+                        continue
+                    m2 = local.get(t)
+                    if m2 is None:
+                        m2 = local[t] = len(run_of)
+                        run_of.append(t)
+                        vec.append(0)
+                    table.setdefault(m2, []).append(m)
+            known[j] = len(vec)
         if g > 0:
             low -= 3
             nxt = [v << curl for v in vec]
-            for m, pre in table.items():
+            for m, ps in table.items():
                 total = 0
-                for p in pre:
+                for p in ps:
                     total += vec[p]
                 nxt[m] = (total << width) - vec[m]
             vec = nxt
@@ -231,9 +315,9 @@ def bracket(b: BraidWord) -> LaurentPoly:
             low -= 1
             # e_j maps only non-loop ids into loop ids, and the identity
             # term leaves non-loop entries as they are
-            for m, pre in table.items():
+            for m, ps in table.items():
                 total = 0
-                for p in pre:
+                for p in ps:
                     total += vec[p]
                 vec[m] = (total << width) - (vec[m] << curl)
         if not step % n:  # drop the slots that are zero in every entry
@@ -244,10 +328,14 @@ def bracket(b: BraidWord) -> LaurentPoly:
                 vec = [v >> bits for v in vec]
                 low += 2 * drop
 
+    loop_counts += [None] * (len(matchings) - len(loop_counts))
     by_loops: dict[int, int] = {}
     for m, v in enumerate(vec):
         if v:
-            loops = closure_loops(matchings[m], n)
+            r = m if fresh else run_of[m]
+            loops = loop_counts[r]
+            if loops is None:
+                loops = loop_counts[r] = closure_loops(matchings[r], n)
             by_loops[loops] = by_loops.get(loops, 0) + v
     # align every group to the lowest exponent delta^(n-1) can reach
     packed = sum(

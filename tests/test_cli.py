@@ -1,8 +1,11 @@
+import gc
 import hashlib
+import io
 import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -144,6 +147,50 @@ def test_stdin_batch(capsys, monkeypatch):
     code, out, err = run(capsys, "dt", "-")
     assert code == 0
     assert out.splitlines() == ["t: 4 6 2", "f: 4 6 8 2"]
+
+
+# both routes, with strand counts that repeat: T(2,5), T(3,4) and a
+# 3-strand figure eight go to the state sum, the rest over 24 crossings
+# to the transfer route
+MIXED_BATCH = [
+    "2: 1 1 1 1 1",
+    "a=4: " + " ".join(["1", "2", "3"] * 9),
+    "3: 1 2 1 2 1 2 1 2",
+    "b=4: " + " ".join(["1", "-2", "3", "2"] * 7),
+    "3: 1 -2 1 -2",
+    "c=5: " + " ".join(["1", "2", "3", "4"] * 7 + ["1", "1"]),
+    "3: " + " ".join(["1", "2"] * 14),
+    "a=4: " + " ".join(["1", "2", "3"] * 9),
+]
+
+
+def test_batch_rows_equal_single_item_rows(capsys):
+    singles = [run(capsys, "jones", item)[1] for item in MIXED_BATCH]
+    for order in (1, -1):
+        code, out, err = run(capsys, "jones", *MIXED_BATCH[::order])
+        assert code == 0 and not err
+        assert out == "".join(singles[::order])
+
+
+def test_run_configs_share_no_tables():
+    a, b = cli.RunConfig(24, 12, False), cli.RunConfig(24, 12, False)
+    assert a == b and repr(a) == repr(b)  # the tables are not an option
+    assert a.tables is not b.tables
+    assert a.tables.statesum is not b.tables.statesum
+    assert a.tables.transfer is not b.tables.transfer
+    assert cli.cmd_jones(a, MIXED_BATCH, io.StringIO()) == 0
+    assert len(a.tables.statesum.keys) > 1 and set(a.tables.transfer.bases) == {3, 4, 5}
+    assert b.tables.statesum.keys == [()] and b.tables.transfer.bases == {}
+
+
+def test_finished_run_tables_can_be_collected():
+    cfg = cli.RunConfig(24, 12, False)
+    assert cli.cmd_jones(cfg, MIXED_BATCH, io.StringIO()) == 0
+    assert cli.cmd_fingerprint(cfg, MIXED_BATCH, io.StringIO()) == 0
+    refs = [weakref.ref(t) for t in (cfg.tables, cfg.tables.statesum, cfg.tables.transfer)]
+    del cfg
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_kirby_pipeline(tmp_path, capsys):

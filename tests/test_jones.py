@@ -26,6 +26,7 @@ from twistlink.cli import main
 from twistlink.diagram import braid_closure
 from twistlink.jones import (
     LimitExceeded,
+    RunTables,
     determinant,
     format_jones_row,
     jones,
@@ -246,56 +247,86 @@ def test_statesum_matches_tl_on_torus_knots():
         assert jones(d, limit=len(d.crossings)) == jones_tl(b, limit=b.strands)
 
 
-def _fresh_statesum_tables(monkeypatch):
-    # empty shape tables and key ids, as in a fresh process
-    monkeypatch.setattr(statesum, "_shapes", {})
-    monkeypatch.setattr(statesum, "_keys", [()])
-    monkeypatch.setattr(statesum, "_ids", {(): 0})
-
-
-def _random_braids(rng, count, min_strands, max_strands):
+def _random_braids(rng, count, min_strands, max_strands, max_letters=14):
     out = []
     for _ in range(count):
         n = rng.randint(min_strands, max_strands)
-        size = rng.randint(0, 14)
+        size = rng.randint(0, max_letters)
         letters = tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(size))
         out.append(BraidWord(n, letters))
     return out
 
 
-def test_statesum_tables_kept_across_calls_do_not_change_brackets(monkeypatch):
-    _fresh_statesum_tables(monkeypatch)
+def test_statesum_tables_kept_across_calls_do_not_change_brackets():
     rng = random.Random(21)
     braids = _random_braids(rng, 30, 2, 6) + [torus_braid(4, 5), torus_braid(5, 6)]
     others = _random_braids(rng, 30, 3, 7)
     others += [torus_braid(6, 7), ttk_braid(TwistedTorusSpec(5, 2, 3, 1))]
     expected = [transfer.bracket(b) for b in braids]
     diagrams = [braid_closure(b) for b in braids]
-    assert [statesum.bracket(d) for d in diagrams] == expected
-    assert [statesum.bracket(d) for d in reversed(diagrams)] == expected[::-1]
+    tables = statesum.Tables()
+    assert [statesum.bracket(d, tables) for d in diagrams] == expected
+    assert [statesum.bracket(d, tables) for d in reversed(diagrams)] == expected[::-1]
     interleaved = []
+    tables = statesum.Tables()
     for d, b in zip(diagrams, others):
-        interleaved.append(statesum.bracket(braid_closure(b)))
-        interleaved.append(statesum.bracket(d))
+        interleaved.append(statesum.bracket(braid_closure(b), tables))
+        interleaved.append(statesum.bracket(d, tables))
     assert interleaved[1::2] == expected
     assert interleaved[0::2] == [transfer.bracket(b) for b in others]
 
 
-def test_statesum_threads_give_each_key_one_id(monkeypatch):
-    _fresh_statesum_tables(monkeypatch)
+def test_statesum_threads_give_each_key_one_id():
     braids = _random_braids(random.Random(23), 64, 3, 7)
     expected = [transfer.bracket(b) for b in braids]
     diagrams = [braid_closure(b) for b in braids]
+    # eight threads on two tables objects, each object shared by all eight
+    objects = [statesum.Tables(), statesum.Tables()]
+    tables = [objects[k % 2] for k in range(len(diagrams))]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(statesum.bracket, diagrams, timeout=120))
+            got = list(pool.map(statesum.bracket, diagrams, tables, timeout=120))
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
-    assert len(statesum._ids) == len(statesum._keys)
-    assert all(statesum._ids[key] == i for i, key in enumerate(statesum._keys))
+    for t in objects:
+        assert len(t.ids) == len(t.keys)
+        assert all(t.ids[key] == i for i, key in enumerate(t.keys))
+
+
+def test_transfer_tables_shared_or_fresh_give_equal_brackets():
+    rng = random.Random(31)
+    braids = _random_braids(rng, 40, 2, 7, max_letters=30)
+    braids += [torus_braid(4, 5), torus_braid(6, 7), ttk_braid(TwistedTorusSpec(8, 3, 4, -2))]
+    # 10-12 strands: words that reach many matchings, then sparse words
+    # whose cancelling letters leave most entries zero, so that their idle
+    # ids wait against a basis other words reached first
+    wide = [parse_braid("12: 1 2 3 4 5 6 7 8 9 10 11"), torus_braid(10, 3)]
+    wide += _random_braids(rng, 6, 10, 12, max_letters=30)
+    for n in (10, 11, 12):
+        for _ in range(3):
+            j, k = rng.sample(range(1, n), 2)
+            wide.append(BraidWord(n, (j, -j, k, -k) * 3 + (j, k, -j, -k, j)))
+    braids += wide
+    rng.shuffle(braids)  # strand counts interleaved
+    fresh = [transfer.bracket(b) for b in braids]
+    tables = transfer.Tables()
+    assert [transfer.bracket(b, tables) for b in braids] == fresh
+    assert [transfer.bracket(b, tables) for b in reversed(braids)] == fresh[::-1]
+    tables = transfer.Tables()
+    assert [transfer.bracket(b, tables) for b in reversed(braids)] == fresh[::-1]
+    # on each strand count, the longest words first, so that the sparse
+    # words meet a warm basis
+    tables = transfer.Tables()
+    order = sorted(range(len(braids)), key=lambda k: (braids[k].strands, -len(braids[k].letters)))
+    assert [transfer.bracket(braids[k], tables) for k in order] == [fresh[k] for k in order]
+    # both routes through one RunTables
+    run = RunTables()
+    for b in braids[:20]:
+        d = braid_closure(b)
+        assert jones_tl(b, limit=b.strands, tables=run) == jones(d, limit=len(d.crossings), tables=run)
 
 
 def _imported_modules(module: str) -> set[str]:

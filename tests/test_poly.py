@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import poly_pow
+from oracles import poly_mul, poly_pow
+from twistlink import statesum
 from twistlink.poly import (
     INF,
     LaurentPoly,
     VAR_A,
     VAR_T,
-    delta_power,
     format_slope,
     is_integral,
     parse_slope,
@@ -64,10 +64,13 @@ def test_substitute():
 
 
 def test_delta_power_matches_repeated_product():
+    # the state sum's closing product: delta^k alone, and a table in which
+    # (2A - 2A^5) * delta cancels its A^3 terms
+    bracket = {-3: 1, 1: 2, 5: -2}
     for k in range(41):
-        assert dict(delta_power(k).terms()) == poly_pow({2: -1, -2: -1}, k), k
-    with pytest.raises(ValueError):
-        delta_power(-1)
+        delta_k = poly_pow({2: -1, -2: -1}, k)
+        assert statesum._times_delta_power({0: 1}, k) == delta_k, k
+        assert statesum._times_delta_power(bracket, k) == poly_mul(bracket, delta_k), k
 
 
 @pytest.mark.parametrize(
