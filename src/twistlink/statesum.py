@@ -3,20 +3,39 @@
 Kauffman's state model sums A^(a-b) * delta^(loops-1) over all 2^c
 smoothings of a diagram, delta = -A^2 - A^-2.  Following the local
 gluing of Bar-Natan ("Fast Khovanov homology computations", 2007), the
-smoothings are not enumerated one by one: the crossings are glued in
-word order and all partial states that leave the open arcs paired the
+smoothings are not enumerated one by one: the crossings are glued one
+at a time and all partial states that leave the open arcs paired the
 same way are merged.
 
-Keys.  An arc is open once one of its two ends has been glued; the open
-arcs form the frontier.  An arc that opens at a crossing takes the
-frontier position of one that closes there, so a braid closure keeps
-its strand order.  A key lists, for each frontier position, the position
-of the open arc at the other end of its path through the glued region;
-keys are interned to small ids.  A crossing's shape is the frontier
-length, a label for each of its four arcs (its frontier position, or f
-plus its index among the four if it is not open yet) and its sign.  The
-shape fixes how every key moves, so each shape caches key -> (key_A,
-loops_A, key_B, loops_B).  A move depends on nothing but the shape and
+Order.  An arc is open once one of its two ends has been glued; the open
+arcs form the frontier, and the work grows with the frontier's peak,
+not with c (Bar-Natan; Burton, "The HOMFLY-PT polynomial is
+fixed-parameter tractable", SoCG 2018).  Glued in word order, a braid
+closure's frontier is about as wide as the word, twice its strands,
+while a closure of many strands and few periods has a much narrower
+sweep.  So one pass over the arc ends finds word order's peak, and a
+bucket queue then glues next the unglued crossing that touches the most
+open arcs; it gives up, and word order is kept, as soon as its frontier
+reaches that peak.  Both passes are linear in c, a tie keeps word
+order, and the plan below is built once, for the order chosen.  Nothing
+after it depends on which order that is, as the next three paragraphs
+show.
+
+Keys.  A key lists, for each frontier position, the position of the
+open arc at the other end of its path through the glued region; keys
+are interned to small ids.  That describes the region's pairing
+whichever crossings it holds.  An arc that opens at a crossing takes
+the frontier position of one that closes there, so a braid closure
+glued in word order keeps its strand order.  A crossing's shape is the
+frontier length and a label for each of its four arcs: its frontier
+position, or f plus its index among the four if it is not open yet.
+In any order, an arc that is not open yet either meets the crossing
+twice or opens there with its far end at a crossing still unglued, and
+the labels say which.  So the shape fixes how every key moves under each
+smoothing, the identity and the cup-cap; the crossing's sign only picks
+which of the two is the A smoothing.  Each shape therefore caches key
+-> (key, loops) of the identity and of the cup-cap, and a crossing and
+its mirror share one table.  A move depends on nothing but the shape and
 the key, so the shape tables and the key ids belong to a run, not to a
 call: they live in a ``Tables`` object that the run passes to each call,
 and each call, such as the next item of a batch, reuses the moves that
@@ -32,17 +51,19 @@ Values.  The value of a key is one Python int whose signed slots of
 ``width`` bits hold the coefficients of a polynomial in A, one A^2
 apart; the whole frontier shares the exponent ``low`` of slot 0.  Each
 loop is folded in as a factor delta = -A^-2 (1 + A^4) when it closes.
-When no arc is left open after a crossing, a piece of the diagram is
-complete and every state closes a loop there; that loop is not counted,
-and the bracket is the result times delta^(free loops + pieces - 1),
-whose binomials are built each from the one before.  A join with an arc
-that opens at the crossing leaves that arc's far end open, so only joins
-of arcs that are open already, or that meet the crossing twice, can
-close a loop; this bounds the loops counted in each smoothing by m_A
-and m_B.  A crossing lowers ``low`` by max(2 m_A - 1, 2 m_B + 1), so
-that A^+-1 * delta^L lands on whole slots at or above slot 0, and the
-slots that are then zero in every entry are shifted out at the next
-crossing.
+When no arc is left open after a crossing, the glued crossings form
+whole pieces of the diagram, in any order, and in every state the last
+join closes a loop; that loop is not counted, and the bracket is the
+result times delta^(free loops + pieces - 1), whose binomials are built
+each from the one before.  A join with an arc that opens at the crossing
+leaves that arc's far end open, so only joins of arcs that are open
+already, or that meet the crossing twice, can close a loop.  This bounds
+the loops counted in the identity and in the cup-cap by numbers the
+shape fixes; with m_A and m_B the bounds for the A and B smoothings, a
+crossing lowers ``low`` by max(2 m_A - 1, 2 m_B + 1), so that
+A^+-1 * delta^L lands on whole slots at or above slot 0.  That drop
+depends on the sign, so a shape keeps one for each.  The slots that are
+then zero in every entry are shifted out at the next crossing.
 
 Width.  An int is the value of its slot polynomial at 2^width, and every
 step is a ring operation, so the result is exact as long as no slot
@@ -50,12 +71,15 @@ overflows.  Measure the frontier by the sum of the absolute values of
 all coefficients of all its values.  A crossing sends each value v to
 A * delta^L_A * v and A^-1 * delta^L_B * v, and the coefficients of
 delta^L add up to 2^L in absolute value, so the measure grows by at most
-2^m_A + 2^m_B.  Every coefficient, intermediate or final, is thus at
-most the product ``growth`` of these factors (at most 8^c), which
-``slot_width`` holds with a sign bit.  As runtime guards the bracket at
-A = 1 must equal (-1)^w (-2)^(mu-1), with w the writhe and mu the number
-of components, because the Jones polynomial at t = 1 is (-2)^(mu-1); and
-at A = zeta = e^(i pi/3), where -A^3 = 1 and delta = 1, it must equal 1,
+2^m_A + 2^m_B, which is the same for either sign.  The bound holds at
+each crossing whatever was glued before it, so in any order every
+coefficient, intermediate or final, is at most the product ``growth`` of
+these factors (at most 8^c), which ``slot_width`` holds with a sign bit.
+The runtime guards test only the decoded bracket, against values every
+link has, so they too hold in any order.  The bracket at A = 1 must
+equal (-1)^w (-2)^(mu-1), with w the writhe and mu the number of
+components, because the Jones polynomial at t = 1 is (-2)^(mu-1); and at
+A = zeta = e^(i pi/3), where -A^3 = 1 and delta = 1, it must equal 1,
 because V(e^(2 pi i/3)) = 1 for every link (Jones, Bull. AMS 12, 1985).
 The second check reduces each exponent mod 6 and uses zeta^2 = zeta - 1,
 so it is exact in integers; it catches wrong decodes whose value at
@@ -80,23 +104,68 @@ def slot_width(growth: int) -> int:
     return growth.bit_length() + 1
 
 
-def _glue(partner: list[int], x: int, y: int) -> int:
-    """Join the path ends labelled ``x`` and ``y``; return 1 if that closes a loop."""
-    if x == y:  # both ends of one arc meet at this crossing
-        return 1
-    end_x = partner[x]
-    if end_x == y:  # x and y are the two ends of one open path
-        return 1
-    end_y = partner[y]
-    partner[end_x] = end_y
-    partner[end_y] = end_x
-    return 0
+def _gluing_order(arcs: list[tuple[int, int, int, int]]) -> list[int]:
+    """Indices of the crossings, given by their arcs, in the order to glue them.
+
+    Word order's peak frontier comes from one pass over the arc ends: an
+    arc is open from its first end to its last.  Then a bucket queue
+    glues next the unglued crossing that touches the most open arcs, the
+    crossing bumped last first on ties.  As soon as its frontier reaches
+    word order's peak it gives up, so word order is kept unless the
+    queue's order has a strictly smaller peak.
+    """
+    c = len(arcs)
+    # ends[a]: the index of the first crossing arc a meets, then the sum
+    # of the indices of both
+    ends = [-1] * (1 + max(map(max, arcs), default=-1))
+    f = word_peak = 0
+    for t, quad in enumerate(arcs):
+        for a in quad:
+            if ends[a] < 0:
+                ends[a] = t
+                f += 1
+            else:
+                ends[a] += t
+                f -= 1
+        if f > word_peak:
+            word_peak = f
+
+    count = [0] * c  # open arcs each unglued crossing touches
+    buckets: list[list[int]] = [list(range(c - 1, -1, -1)), [], [], [], []]
+    done = bytearray(c)
+    order = []
+    f = top = 0
+    for _ in range(c):
+        while True:
+            bucket = buckets[top]
+            if not bucket:
+                top -= 1
+                continue
+            t = bucket.pop()
+            if count[t] == top and not done[t]:  # else a stale entry
+                break
+        done[t] = 1
+        order.append(t)
+        for a in arcs[t]:
+            u = ends[a] - t
+            if u == t:  # an arc that meets this crossing twice never opens
+                continue
+            if done[u]:
+                f -= 1
+            else:
+                f += 1
+                k = count[u] = count[u] + 1
+                buckets[k].append(u)
+                if k > top:
+                    top = k
+        if f >= word_peak:
+            return list(range(c))
+    return order
 
 
-def _shape(f: int, labels: tuple[int, ...], sign: int) -> tuple:
-    """Joins, next frontier, growth bound and exponent drop of one crossing shape."""
+def _shape(f: int, labels: tuple[int, ...]) -> tuple:
+    """Moves cache, joins, next frontier, growth bound and drops of one crossing shape."""
     il, ir, ol, orr = labels
-    ident, cupcap = ((il, ol), (ir, orr)), ((il, ir), (ol, orr))
     # an arc is known here if it is open or meets this crossing twice
     i, j, k, m = known = [x < f or labels.count(x) > 1 for x in labels]
     opened = [x for x, seen in zip(labels, known) if not seen]
@@ -111,39 +180,26 @@ def _shape(f: int, labels: tuple[int, ...], sign: int) -> tuple:
         newpos[x] = p
     # only a join of two known arcs can close a loop, and a crossing that
     # leaves no arc open closes the last loop of a piece in every state
-    loops_ident = (i and k) + (j and m) - (not kept)
-    loops_cupcap = (i and j) + (k and m) - (not kept)
-    if sign > 0:
-        joins, most_a, most_b = (ident, cupcap), loops_ident, loops_cupcap
-    else:
-        joins, most_a, most_b = (cupcap, ident), loops_cupcap, loops_ident
-    drop = max(2 * most_a - 1, 2 * most_b + 1)
-    return {}, joins, kept, newpos, (1 << most_a) + (1 << most_b), drop
-
-
-def _move(key: tuple[int, ...], f: int, joins, kept, newpos, keys, ids) -> list[int]:
-    """[key_A, loops_A, key_B, loops_B] for ``key`` at a crossing shape, keys as ids."""
-    move = []
-    for (x1, y1), (x2, y2) in joins:
-        partner = [*key, f, f + 1, f + 2, f + 3]
-        loops = _glue(partner, x1, y1) + _glue(partner, x2, y2) - (not kept)
-        key2 = tuple([newpos[partner[x]] for x in kept])
-        key_id = ids.get(key2)
-        if key_id is None:
-            # append first: an interrupt here must not leave an id that
-            # the next new key would get again
-            keys.append(key2)
-            key_id = ids[key2] = len(keys) - 1
-        move += key_id, loops
-    return move
+    most_ident = (i and k) + (j and m) - (not kept)
+    most_cupcap = (i and j) + (k and m) - (not kept)
+    # the A smoothing is the identity at a positive crossing, the cup-cap
+    # at a negative one: drops[sign > 0]
+    drops = (
+        max(2 * most_cupcap - 1, 2 * most_ident + 1),
+        max(2 * most_ident - 1, 2 * most_cupcap + 1),
+    )
+    joins = (((il, ol), (ir, orr)), ((il, ir), (ol, orr)))
+    return {}, joins, kept, newpos, (1 << most_ident) + (1 << most_cupcap), drops
 
 
 class Tables:
     """The shape tables and key ids of one run (see Keys above).
 
-    ``shapes`` maps a shape to (moves, joins, kept, newpos, growth, drop),
-    and ``keys`` and ``ids`` intern the keys.  ``lock`` is held for each
-    call, so that two threads never give two keys one id.
+    ``shapes`` maps a shape to (moves, joins, kept, newpos, growth,
+    drops), where moves maps a key id to [key id, loops] of the identity
+    followed by those of the cup-cap, and ``keys`` and ``ids`` intern the
+    keys.  ``lock`` is held
+    for each call, so that two threads never give two keys one id.
     """
 
     def __init__(self) -> None:
@@ -156,29 +212,32 @@ class Tables:
 def _contract(d: PlanarDiagram, tables: Tables) -> tuple[int, int, int, int]:
     """Packed bracket before the delta power, with its ``low``, slot width and pieces."""
     keys, ids, shapes = tables.keys, tables.ids, tables.shapes
+    crossings = d.crossings
+    arcs = [(cr.in_left, cr.in_right, cr.out_left, cr.out_right) for cr in crossings]
     plan = []
     frontier: list[int] = []
     growth = 1
-    for cr in d.crossings:
+    for t in _gluing_order(arcs):
+        quad = arcs[t]
         f = len(frontier)
-        arcs = (cr.in_left, cr.in_right, cr.out_left, cr.out_right)
         pos = {a: i for i, a in enumerate(frontier)}
-        labels = tuple([pos[a] if a in pos else f + arcs.index(a) for a in arcs])
-        shape = (f, labels, cr.sign)
-        entry = shapes.get(shape)
+        labels = tuple([pos[a] if a in pos else f + quad.index(a) for a in quad])
+        entry = shapes.get((f, labels))
         if entry is None:
-            entry = shapes[shape] = _shape(*shape)
-        plan.append((f, entry))
-        kept, factor = entry[2], entry[4]
-        frontier = [frontier[i] if i < f else arcs[i - f] for i in kept]
-        growth *= factor
+            entry = shapes[f, labels] = _shape(f, labels)
+        plan.append((f, crossings[t].sign > 0, entry))
+        kept = entry[2]
+        frontier = [frontier[i] if i < f else quad[i - f] for i in kept]
+        growth *= entry[4]
 
     width = slot_width(growth)
     curl = 2 * width
     states = {0: 1}
     low = spare = pieces = 0
-    for f, (moves, joins, kept, newpos, _, drop) in plan:
-        pieces += not kept
+    for f, positive, (moves, joins, kept, newpos, _, drops) in plan:
+        ends_piece = not kept  # its last loop goes to ``pieces``, not to the values
+        pieces += ends_piece
+        drop = drops[positive]
         # the values hold ``spare`` empty low slots, shifted out here
         low += 2 * spare - drop
         shift_b = (drop // 2 - spare) * width
@@ -188,8 +247,34 @@ def _contract(d: PlanarDiagram, tables: Tables) -> tuple[int, int, int, int]:
         for k, v in states.items():
             move = moves.get(k)
             if move is None:
-                move = moves[k] = _move(keys[k], f, joins, kept, newpos, keys, ids)
-            ka, la, kb, lb = move
+                # [key, loops] of the identity, then of the cup-cap; a join
+                # closes a loop when its ends are the two ends of one path,
+                # or of one arc that meets this crossing twice
+                move = []
+                for pairs in joins:
+                    partner = [*keys[k], f, f + 1, f + 2, f + 3]
+                    loops = -ends_piece
+                    for x, y in pairs:
+                        end_x = partner[x]
+                        if end_x == y:
+                            loops += 1
+                        else:
+                            end_y = partner[y]
+                            partner[end_x] = end_y
+                            partner[end_y] = end_x
+                    key = tuple([newpos[partner[x]] for x in kept])
+                    key_id = ids.get(key)
+                    if key_id is None:
+                        # append first: an interrupt here must not leave an
+                        # id that the next new key would get again
+                        keys.append(key)
+                        key_id = ids[key] = len(keys) - 1
+                    move += key_id, loops
+                moves[k] = move
+            if positive:
+                ka, la, kb, lb = move
+            else:
+                kb, lb, ka, la = move
             s = shift_a - la * width  # A * delta^L lands L slots lower
             x = v << s if s > 0 else v >> -s if s else v
             if la:  # times (-1 - A^4)^la

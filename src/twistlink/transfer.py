@@ -337,12 +337,20 @@ def bracket(b: BraidWord, tables: Tables | None = None) -> LaurentPoly:
             if loops is None:
                 loops = loop_counts[r] = closure_loops(matchings[r], n)
             by_loops[loops] = by_loops.get(loops, 0) + v
-    # align every group to the lowest exponent delta^(n-1) can reach
-    packed = sum(
-        (v * _packed_delta_power(loops - 1, width)) << ((n - loops) * width)
-        for loops, v in by_loops.items()
-    )
-    result = _unpack(packed, low - 2 * (n - 1), width)
+    # Horner's rule over the loop counts, highest first, so that each delta
+    # power is built and multiplied once per gap between counts: after
+    # count l, packed holds the sum over l' >= l of v_l' delta^(l'-l),
+    # with slot 0 at A^(low - 2 (top - l))
+    levels = sorted(by_loops, reverse=True)
+    top = prev = levels[0] if levels else 1
+    packed = 0
+    for loops in levels:
+        packed = packed * _packed_delta_power(prev - loops, width) + (
+            by_loops[loops] << (top - loops) * width
+        )
+        prev = loops
+    packed *= _packed_delta_power(prev - 1, width)
+    result = _unpack(packed, low - 2 * (top - 1), width)
 
     # coefficient sums by exponent mod 6, for the checks at A = 1 and at
     # A = zeta = e^(i pi/3), where zeta^2 = zeta - 1 and zeta^3 = -1

@@ -23,7 +23,7 @@ from twistlink.braid import (
     free_reduce_cyclic,
 )
 from twistlink.cli import main
-from twistlink.diagram import braid_closure
+from twistlink.diagram import PlanarDiagram, braid_closure
 from twistlink.jones import (
     LimitExceeded,
     RunTables,
@@ -36,7 +36,13 @@ from twistlink.jones import (
 )
 from twistlink.poly import VAR_A, VAR_T, LaurentPoly
 
-from oracles import brute_bracket, jones_dict_in_t, random_knot_braid, torus_jones
+from oracles import (
+    brute_bracket,
+    coloring_determinant,
+    jones_dict_in_t,
+    random_knot_braid,
+    torus_jones,
+)
 
 
 def jones_of(text):
@@ -247,6 +253,63 @@ def test_statesum_matches_tl_on_torus_knots():
         assert jones(d, limit=len(d.crossings)) == jones_tl(b, limit=b.strands)
 
 
+def test_statesum_on_wide_short_words():
+    # many strands, few periods: word order's frontier is as wide as the
+    # word, the diagram's much narrower
+    for p, q in ((11, 4), (13, 2)):
+        d = braid_closure(torus_braid(p, q))
+        assert as_dict(jones(d, limit=len(d.crossings))) == torus_jones(p, q), (p, q)
+    # T(12,3) is a link of three components, past the torus formula
+    words = [torus_braid(12, 3), ttk_braid(TwistedTorusSpec(9, 4, 3, 5))]
+    words.append(ttk_braid(TwistedTorusSpec(8, 3, 4, -2)))
+    # the transfer route's basis grows as Catalan(n), so the widest
+    # random words get the fewest periods
+    rng = random.Random(41)
+    for n, periods in ((8, 4), (9, 3), (10, 3), (11, 2), (12, 2), (13, 2), (14, 2)):
+        signs = [rng.choice((1, -1)) for _ in range(periods * (n - 1))]
+        letters = tuple(s * j for s, j in zip(signs, list(range(1, n)) * periods))
+        words.append(BraidWord(n, letters))
+    for b in words:
+        d = braid_closure(b)
+        assert jones(d, limit=len(d.crossings)) == jones_tl(b, limit=b.strands), b
+    # glued in word order, T(12,3) and T(11,4) intern 46,879 and 44,547
+    # keys; a narrow order needs a few dozen
+    for b in (torus_braid(12, 3), torus_braid(11, 4)):
+        tables = statesum.Tables()
+        statesum.bracket(braid_closure(b), tables)
+        assert len(tables.keys) < 100, (b, len(tables.keys))
+
+
+def test_determinant_equals_coloring_minor():
+    # a third witness at t = -1 that shares no skein code with either
+    # route, for knots too big for the brute oracle
+    braids = [torus_braid(11, 4)]
+    braids += [ttk_braid(TwistedTorusSpec(*spec)) for spec in ((9, 4, 3, 5), (8, 3, 4, -2))]
+    for b, expected in zip(braids, (11, 11, 13)):
+        assert coloring_determinant(b.strands, b.letters) == expected, b
+        d = braid_closure(b)
+        assert determinant(jones(d, limit=len(d.crossings))) == expected, b
+
+
+def _shape_counts(tables):
+    moves = sum(len(entry[0]) for entry in tables.shapes.values())
+    return len(tables.shapes), len(tables.keys), moves
+
+
+def test_statesum_mirror_adds_no_shape_key_or_move():
+    # a shape's moves hold both smoothings, and the sign only picks which
+    # is A, so the mirror of a diagram meets the tables it left
+    braids = [parse_braid("5: 1 -2 3 -4 2 1 -3 4 -1 2 2 -3"), torus_braid(11, 4)]
+    braids += _random_braids(random.Random(43), 10, 3, 9, max_letters=20)
+    for b in braids:
+        tables = statesum.Tables()
+        v = statesum.bracket(braid_closure(b), tables)
+        counts = _shape_counts(tables)
+        w = statesum.bracket(braid_closure(mirror(b)), tables)
+        assert _shape_counts(tables) == counts, b
+        assert w == mirror_poly(v)
+
+
 def _random_braids(rng, count, min_strands, max_strands, max_letters=14):
     out = []
     for _ in range(count):
@@ -392,3 +455,26 @@ def test_three_witnesses_agree_on_noisy_braids(b):
     expected = brute_bracket(b.strands, b.letters)
     assert as_dict(transfer.bracket(b)) == expected
     assert as_dict(kauffman_bracket(braid_closure(b), limit=16)) == expected
+
+
+@st.composite
+def shuffled_diagrams(draw):
+    """A closure of up to 20 letters on 1-10 strands, its crossings permuted."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    letter = st.integers(min_value=1, max_value=max(n - 1, 1)).flatmap(
+        lambda j: st.sampled_from((j, -j))
+    )
+    size = draw(st.integers(min_value=0, max_value=20)) if n > 1 else 0
+    b = BraidWord(n, tuple(draw(st.lists(letter, min_size=size, max_size=size))))
+    d = braid_closure(b)
+    crossings = tuple(draw(st.permutations(d.crossings)))
+    return b, PlanarDiagram(crossings, d.free_loops, d.components)
+
+
+# each order is glued as it is or in the state sum's own order, whichever
+# has the narrower frontier; either way the bracket is that of the link
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(shuffled_diagrams())
+def test_gluing_order_does_not_change_the_bracket(case):
+    b, shuffled = case
+    assert statesum.bracket(shuffled) == transfer.bracket(b)
