@@ -19,7 +19,7 @@ strands.  Mirrors are T(p, -q, r, -s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from typing import Union
@@ -27,23 +27,30 @@ from typing import Union
 from .poly import INF, Slope, format_slope
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    strands: int
-    letters: tuple[int, ...] = ()
+class BraidWord(namedtuple("BraidWord", "strands letters")):
+    """A braid word: ``strands`` and its ``letters``, checked when built.
 
-    def __post_init__(self):
-        if self.strands < 1:
-            raise ValueError(f"strand count must be >= 1, got {self.strands}")
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
+    Like every validated record of the package, it is a named tuple whose
+    ``__new__`` runs the checks; ``_make``, and so ``_replace``, goes
+    through ``__new__`` too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, strands: int, letters: tuple[int, ...] = ()):
+        if strands < 1:
+            raise ValueError(f"strand count must be >= 1, got {strands}")
+        letters = tuple(letters)
         for g in letters:
             if not isinstance(g, int) or isinstance(g, bool) or g == 0:
                 raise ValueError(f"letters must be nonzero integers, got {g!r}")
-            if abs(g) > self.strands - 1:
-                raise ValueError(
-                    f"letter {g} out of range for {self.strands} strands"
-                )
+            if abs(g) > strands - 1:
+                raise ValueError(f"letter {g} out of range for {strands} strands")
+        return super().__new__(cls, strands, letters)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -170,30 +177,36 @@ def insert_full_twists(b: BraidWord, first: int, width: int, s: int) -> BraidWor
     return BraidWord(b.strands, b.letters + cycle * reps)
 
 
-@dataclass(frozen=True)
-class TwistedTorusSpec:
+def _check_torus(p: int, q: int) -> None:
+    """The checks shared by both twisted torus specs, on their T(p, q) base."""
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
+    if q == 0:
+        raise ValueError("q must be nonzero")
+    if gcd(p, abs(q)) != 1:
+        raise ValueError(f"gcd(p, q) must be 1, got ({p}, {q})")
+
+
+class TwistedTorusSpec(namedtuple("TwistedTorusSpec", "p q r s")):
     """Parameters (p, q, r, s): s full twists on r strands of T(p, q).
 
     The classical regime is r < p; r = p is a full twist on every strand
     and larger r only arises through the generalized pathway.
     """
 
-    p: int
-    q: int
-    r: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {self.p}")
-        if self.q == 0:
-            raise ValueError("q must be nonzero")
-        if gcd(self.p, abs(self.q)) != 1:
-            raise ValueError(f"gcd(p, q) must be 1, got ({self.p}, {self.q})")
-        if self.r < 2:
-            raise ValueError(f"r must be >= 2, got {self.r}")
-        if self.s == 0:
+    def __new__(cls, p: int, q: int, r: int, s: int):
+        _check_torus(p, q)
+        if r < 2:
+            raise ValueError(f"r must be >= 2, got {r}")
+        if s == 0:
             raise ValueError("s must be nonzero (use a plain torus braid)")
+        return super().__new__(cls, p, q, r, s)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def ttk_braid(spec: TwistedTorusSpec) -> BraidWord:
@@ -206,55 +219,53 @@ def ttk_braid(spec: TwistedTorusSpec) -> BraidWord:
     return insert_full_twists(base, 1, spec.r, spec.s)
 
 
-@dataclass(frozen=True)
-class Stabilize:
+class Stabilize(namedtuple("Stabilize", "sign")):
     """Markov stabilization step: add one strand and sigma_n^{sign}."""
 
-    sign: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __new__(cls, sign: int = 1):
+        if sign not in (1, -1):
             raise ValueError("stabilization sign must be +1 or -1")
+        return super().__new__(cls, sign)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class TwistRegion:
+class TwistRegion(namedtuple("TwistRegion", "first width twists")):
     """Full-twist step: ``twists`` full twists on strands first..first+width-1."""
 
-    first: int
-    width: int
-    twists: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.first < 1:
-            raise ValueError(f"first strand must be >= 1, got {self.first}")
-        if self.width < 2:
-            raise ValueError(f"width must be >= 2, got {self.width}")
-        if self.twists == 0:
+    def __new__(cls, first: int, width: int, twists: int):
+        if first < 1:
+            raise ValueError(f"first strand must be >= 1, got {first}")
+        if width < 2:
+            raise ValueError(f"width must be >= 2, got {width}")
+        if twists == 0:
             raise ValueError("twist count must be nonzero")
+        return super().__new__(cls, first, width, twists)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 GeneralizedOp = Union[Stabilize, TwistRegion]
 
 
-@dataclass(frozen=True)
-class GeneralizedTTKSpec:
+class GeneralizedTTKSpec(namedtuple("GeneralizedTTKSpec", "p q ops")):
     """A torus knot base plus interleaved stabilizations and twist regions."""
 
-    p: int
-    q: int
-    ops: tuple[GeneralizedOp, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-        if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {self.p}")
-        if self.q == 0:
-            raise ValueError("q must be nonzero")
-        if gcd(self.p, abs(self.q)) != 1:
-            raise ValueError(f"gcd(p, q) must be 1, got ({self.p}, {self.q})")
-        strands = self.p
-        for op in self.ops:
+    def __new__(cls, p: int, q: int, ops: tuple[GeneralizedOp, ...] = ()):
+        ops = tuple(ops)
+        _check_torus(p, q)
+        strands = p
+        for op in ops:
             if isinstance(op, Stabilize):
                 strands += 1
             elif isinstance(op, TwistRegion):
@@ -265,6 +276,11 @@ class GeneralizedTTKSpec:
                     )
             else:
                 raise ValueError(f"unknown op {op!r}")
+        return super().__new__(cls, p, q, ops)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def gttk_braid(spec: GeneralizedTTKSpec) -> BraidWord:

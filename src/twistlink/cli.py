@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import TextIO
 
 from .braid import (
@@ -46,13 +46,22 @@ from .surgery import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    statesum_limit: int
-    tl_limit: int
-    oracle: bool
-    # not an option: the route tables of this run, shared by its items
-    tables: RunTables = field(default_factory=RunTables, init=False, compare=False, repr=False)
+class RunConfig(namedtuple("RunConfig", "statesum_limit tl_limit oracle")):
+    """The options of one run, and ``tables``: not an option, but the route
+    tables of this run, shared by its items and left out of equality and
+    repr.  Like the fields, ``tables`` cannot be assigned."""
+
+    def __new__(cls, statesum_limit: int, tl_limit: int, oracle: bool):
+        self = super().__new__(cls, statesum_limit, tl_limit, oracle)
+        object.__setattr__(self, "tables", RunTables())
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def _split_name(item: str) -> tuple[str | None, str]:

@@ -13,13 +13,13 @@ closure arc as a crossing-free loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .braid import BraidWord, free_reduce_cyclic
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One crossing of a closed braid, with its incident arcs.
 
     The strand entering at in_left leaves at out_right and vice versa; for
@@ -33,8 +33,7 @@ class Crossing:
     out_right: int
 
 
-@dataclass(frozen=True)
-class PlanarDiagram:
+class PlanarDiagram(NamedTuple):
     crossings: tuple[Crossing, ...]
     free_loops: tuple[int, ...]
     components: tuple[tuple[int, ...], ...]
@@ -44,44 +43,50 @@ def braid_closure(b: BraidWord) -> PlanarDiagram:
     """Standard closure of ``b`` after cyclic free reduction."""
     letters = free_reduce_cyclic(b.letters)
     n = b.strands
+    # crossing t leaves arcs n + 2t and n + 2t + 1 until the renumbering
     current = list(range(n))
+    raw = []
     nxt = n
-    raw: list[list[int]] = []
     for g in letters:
         j = abs(g) - 1
-        raw.append([1 if g > 0 else -1, current[j], current[j + 1], nxt, nxt + 1])
+        raw.append((1 if g > 0 else -1, current[j], current[j + 1], nxt, nxt + 1))
         current[j], current[j + 1] = nxt, nxt + 1
         nxt += 2
 
-    # closure: the final top arc at position i is the closure arc i
-    alias = {current[i]: i for i in range(n) if current[i] != i}
-    used = sorted(
-        {alias.get(a, a) for rec in raw for a in rec[1:]} | {i for i in range(n) if current[i] == i}
-    )
-    renum = {a: k for k, a in enumerate(used)}
+    # closure: closure arc i replaces the last arc at position i, and every
+    # other arc keeps its order
+    renum = list(range(n)) + [-1] * (nxt - n)
+    for i, a in enumerate(current):
+        renum[a] = i
+    arcs = n
+    for a in range(n, nxt):
+        if renum[a] < 0:
+            renum[a] = arcs
+            arcs += 1
     crossings = tuple(
-        Crossing(rec[0], *(renum[alias.get(a, a)] for a in rec[1:])) for rec in raw
+        Crossing(sign, renum[il], renum[ir], renum[ol], renum[orr])
+        for sign, il, ir, ol, orr in raw
     )
-    free = tuple(renum[i] for i in range(n) if current[i] == i)
+    free = tuple(i for i in range(n) if current[i] == i)
 
-    # thread continuation: an arc ends where a crossing consumes it
-    succ = {}
-    for c in crossings:
-        succ[c.in_left] = c.out_right
-        succ[c.in_right] = c.out_left
-    comps: list[tuple[int, ...]] = [(a,) for a in free]
-    seen = set(free)
-    for a in range(len(used)):
-        if a in seen:
+    # thread continuation: an arc ends where a crossing consumes it, and a
+    # free loop is its own successor; each component starts at its least arc
+    succ = list(range(arcs))
+    for _, il, ir, ol, orr in crossings:
+        succ[il] = orr
+        succ[ir] = ol
+    seen = [False] * arcs
+    comps = []
+    for a in range(arcs):
+        if seen[a]:
             continue
         cycle = []
         x = a
-        while x not in seen:
-            seen.add(x)
+        while not seen[x]:
+            seen[x] = True
             cycle.append(x)
             x = succ[x]
         comps.append(tuple(cycle))
-    comps.sort(key=min)
     return PlanarDiagram(crossings, free, tuple(comps))
 
 
@@ -113,21 +118,25 @@ def linking_matrix(d: PlanarDiagram) -> list[list[int]]:
     return [[v // 2 for v in row] for row in twice]
 
 
-@dataclass(frozen=True)
-class DTCode:
+class DTCode(namedtuple("DTCode", "pairs")):
     """Dowker-Thistlethwaite pairs: entry i is the signed even partner of
     odd label 2i-1; sign is negative exactly when the even pass is over."""
 
-    pairs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.pairs)
+    def __new__(cls, pairs: tuple[int, ...]):
+        n = len(pairs)
         if n == 0:
             raise ValueError("empty code")
         need = set(range(2, 2 * n + 1, 2))
-        got = {abs(e) for e in self.pairs}
+        got = {abs(e) for e in pairs}
         if got != need:
             raise ValueError(f"entries must cover each of {{2,4,...,{2 * n}}} once")
+        return super().__new__(cls, pairs)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _visit_sequence(d: PlanarDiagram) -> list[tuple[int, bool]]:

@@ -213,7 +213,7 @@ def _contract(d: PlanarDiagram, tables: Tables) -> tuple[int, int, int, int]:
     """Packed bracket before the delta power, with its ``low``, slot width and pieces."""
     keys, ids, shapes = tables.keys, tables.ids, tables.shapes
     crossings = d.crossings
-    arcs = [(cr.in_left, cr.in_right, cr.out_left, cr.out_right) for cr in crossings]
+    arcs = [(il, ir, ol, orr) for _, il, ir, ol, orr in crossings]
     plan = []
     frontier: list[int] = []
     growth = 1

@@ -19,39 +19,51 @@ it, and kirby_reduce fails hard if a step changes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd
+from typing import NamedTuple
 
 from .poly import INF, Slope, format_slope, is_integral, parse_slope
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     name: str
     coefficient: Slope
     unknotted: bool
 
 
-@dataclass(frozen=True)
-class SurgeryPresentation:
-    components: tuple[Component, ...]
-    linking: tuple[tuple[int, ...], ...]
-    meridian_edges: frozenset[tuple[str, str]]
+class SurgeryPresentation(
+    namedtuple("SurgeryPresentation", "components linking meridian_edges")
+):
+    """Components, their symmetric linking matrix and meridian edges, checked when built."""
 
-    def __post_init__(self) -> None:
-        for c in self.components:
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        components: tuple[Component, ...],
+        linking: tuple[tuple[int, ...], ...],
+        meridian_edges: frozenset[tuple[str, str]],
+    ):
+        self = super().__new__(cls, components, linking, meridian_edges)
+        for c in components:
             _check_name(c.name)
-        for row in self.linking:
+        for row in linking:
             _check_linking(row)
         self._check_matrix()
-        names, own = _edge_index(self.components, self.meridian_edges)
-        for edge in sorted(self.meridian_edges):
-            problem = _edge_problem(self.components, self.linking, names, own, edge)
+        names, own = _edge_index(components, meridian_edges)
+        for edge in sorted(meridian_edges):
+            problem = _edge_problem(components, linking, names, own, edge)
             if problem:
                 raise ValueError(f"meridian edge {edge[0]}->{edge[1]}: {problem}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def _check_matrix(self) -> None:
         k = len(self.components)
@@ -184,10 +196,7 @@ def _rebuild(components, linking, edges) -> SurgeryPresentation:
     # checked here
     mat = tuple(tuple(row) for row in linking)
     comps = tuple(components)
-    p = object.__new__(SurgeryPresentation)
-    object.__setattr__(p, "components", comps)
-    object.__setattr__(p, "linking", mat)
-    object.__setattr__(p, "meridian_edges", _prune_edges(comps, mat, edges))
+    p = tuple.__new__(SurgeryPresentation, (comps, mat, _prune_edges(comps, mat, edges)))
     p._check_matrix()
     return p
 
@@ -231,9 +240,11 @@ def blow_down(p: SurgeryPresentation, name: str) -> SurgeryPresentation:
         if lk_c[i] and coeff is not INF:
             coeff = coeff - eps * lk_c[i] ** 2
         unknotted = comp.unknotted and (lk_c[i] == 0 or comp.name in exempt)
-        comps.append(replace(comp, coefficient=coeff, unknotted=unknotted))
+        comps.append(comp._replace(coefficient=coeff, unknotted=unknotted))
     mat = [
-        [p.linking[i][j] - eps * lk_c[i] * lk_c[j] if i != j else 0 for j in keep] for i in keep
+        [row[j] - eps * lk_c[i] * lk_c[j] if i != j else 0 for j in keep]
+        for i, row in enumerate(p.linking)
+        if i != ci
     ]
 
     edges = {e for e in p.meridian_edges if name not in e}
@@ -270,13 +281,13 @@ def blow_up(
         coeff = comp.coefficient
         if v and coeff is not INF:
             coeff = coeff + eps * v * v
-        comps.append(replace(comp, coefficient=coeff))
+        comps.append(comp._replace(coefficient=coeff))
     comps.append(Component(name, Fraction(eps), True))
     k = len(p.components)
     mat = [
-        [p.linking[i][j] + eps * links_to[i] * links_to[j] if i != j else 0 for j in range(k)]
+        [row[j] + eps * links_to[i] * links_to[j] if i != j else 0 for j in range(k)]
         + [links_to[i]]
-        for i in range(k)
+        for i, row in enumerate(p.linking)
     ]
     mat.append(list(links_to) + [0])
     return _rebuild(comps, mat, p.meridian_edges)
@@ -304,9 +315,9 @@ def slam_dunk(p: SurgeryPresentation, meridian: str, target: str) -> SurgeryPres
         coeff = n - 1 / r
     keep = [i for i in range(len(p.components)) if i != mi]
     comps = [
-        replace(p.components[i], coefficient=coeff) if i == ti else p.components[i] for i in keep
+        p.components[i]._replace(coefficient=coeff) if i == ti else p.components[i] for i in keep
     ]
-    mat = [[p.linking[i][j] for j in keep] for i in keep]
+    mat = [[row[j] for j in keep] for i, row in enumerate(p.linking) if i != mi]
     edges = {e for e in p.meridian_edges if meridian not in e}
     return _rebuild(comps, mat, edges)
 
@@ -331,24 +342,28 @@ def handle_slide(p: SurgeryPresentation, i_name: str, j_name: str, sign: int) ->
     mat[j][i] = mat[i][j]
     coeff = ni + nj + 2 * sign * p.linking[i][j]
     comps = [
-        replace(c, coefficient=coeff, unknotted=False) if x == i else c
+        c._replace(coefficient=coeff, unknotted=False) if x == i else c
         for x, c in enumerate(p.components)
     ]
     edges = {e for e in p.meridian_edges if e[0] != i_name}
     return _rebuild(comps, mat, edges)
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(namedtuple("ContinuedFraction", "terms")):
     """Negative (minus-sign) continued fraction a1 - 1/(a2 - 1/(...))."""
 
-    terms: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.terms:
+    def __new__(cls, terms: tuple[int, ...]):
+        if not terms:
             raise ValueError("continued fraction needs at least one term")
-        if any(a < 2 for a in self.terms[1:]):
+        if any(a < 2 for a in terms[1:]):
             raise ValueError("canonical form needs every term after the first to be >= 2")
+        return super().__new__(cls, terms)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def cfrac_expand(x: Slope) -> ContinuedFraction:
@@ -392,14 +407,13 @@ def rational_to_chain(p: SurgeryPresentation, name: str) -> SurgeryPresentation:
         if f in taken:
             raise ValueError(f"chain name {f!r} already in use")
     comps = list(p.components)
-    comps[ci] = replace(comps[ci], coefficient=Fraction(terms[0]))
+    comps[ci] = comps[ci]._replace(coefficient=Fraction(terms[0]))
     comps += [Component(f, Fraction(a), True) for f, a in zip(fresh, terms[1:])]
     k = len(p.components)
     total = k + len(fresh)
     mat = [[0] * total for _ in range(total)]
-    for i in range(k):
-        for j in range(k):
-            mat[i][j] = p.linking[i][j]
+    for i, row in enumerate(p.linking):
+        mat[i][:k] = row
     chain = [ci] + list(range(k, total))
     for a, b in zip(chain, chain[1:]):
         mat[a][b] = mat[b][a] = 1
@@ -411,8 +425,7 @@ def rational_to_chain(p: SurgeryPresentation, name: str) -> SurgeryPresentation:
     return _rebuild(comps, mat, edges)
 
 
-@dataclass(frozen=True)
-class Homology:
+class Homology(NamedTuple):
     """H1 as invariant factors (each > 1) plus free rank."""
 
     torsion: tuple[int, ...]
@@ -515,13 +528,14 @@ def h1(p: SurgeryPresentation) -> Homology:
     p_i, for coefficient p_i/q_i; components with infinite coefficient are
     erased first.
     """
-    keep = [i for i, c in enumerate(p.components) if c.coefficient is not INF]
+    coeffs = [coeff for _, coeff, _ in p.components]
+    keep = [i for i, coeff in enumerate(coeffs) if coeff is not INF]
     if not keep:
         return Homology((), 0)
     position = dict(zip(keep, range(len(keep))))
     rows = []
     for i in keep:
-        coeff = p.components[i].coefficient
+        coeff = coeffs[i]
         q = coeff.denominator
         linking = p.linking[i]
         row = [0] * len(keep)
@@ -557,8 +571,7 @@ def render_move(move: tuple) -> str:
     return " ".join(str(f) for f in move)
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     move: str
     components_before: int
     components_after: int
@@ -567,8 +580,7 @@ class TraceStep:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class KirbyTrace:
+class KirbyTrace(NamedTuple):
     initial_h1: Homology
     steps: tuple[TraceStep, ...]
 
@@ -618,16 +630,15 @@ def kirby_reduce(
 
 
 def render_presentation(p: SurgeryPresentation) -> str:
-    lines = [f"components {len(p.components)}"]
-    for c in p.components:
-        lines.append(f"{c.name} {format_slope(c.coefficient)} {1 if c.unknotted else 0}")
-    for i in range(len(p.components)):
-        for j in range(i + 1, len(p.components)):
-            if p.linking[i][j]:
-                lines.append(
-                    f"lk {p.components[i].name} {p.components[j].name} {p.linking[i][j]}"
-                )
-    for a, b in sorted(p.meridian_edges):
+    components, linking, edges = p
+    lines = [f"components {len(components)}"]
+    for name, coeff, unknotted in components:
+        lines.append(f"{name} {format_slope(coeff)} {1 if unknotted else 0}")
+    names = [name for name, _, _ in components]
+    for i, row in enumerate(linking):
+        for j in compress(range(i + 1, len(row)), row[i + 1 :]):
+            lines.append(f"lk {names[i]} {names[j]} {row[j]}")
+    for a, b in sorted(edges):
         lines.append(f"meridian {a} {b}")
     return "\n".join(lines)
 
