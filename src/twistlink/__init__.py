@@ -44,26 +44,6 @@ from .jones import (
     mirror_poly,
 )
 from .poly import INF, LaurentPoly, format_slope, parse_slope
-from .surgery import (
-    Component,
-    ContinuedFraction,
-    Homology,
-    KirbyTrace,
-    SurgeryPresentation,
-    blow_down,
-    blow_up,
-    cfrac_eval,
-    cfrac_expand,
-    h1,
-    handle_slide,
-    kirby_reduce,
-    parse_presentation,
-    parse_script,
-    presentation,
-    rational_to_chain,
-    render_presentation,
-    slam_dunk,
-)
 
 __version__ = "0.1.0"
 
@@ -123,3 +103,25 @@ __all__ = [
     "ttk_braid",
     "__version__",
 ]
+
+# The surgery exports are the names of __all__ not bound above.  They load
+# with twistlink.surgery on first access (PEP 562), so that importing the
+# package, as every CLI command does, does not compile surgery.py for the
+# commands that never use it.
+_SURGERY_EXPORTS = frozenset(__all__) - globals().keys()
+
+
+def __getattr__(name: str):
+    if name != "surgery" and name not in _SURGERY_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    surgery = import_module(__name__ + ".surgery")
+    bound = globals()
+    for export in _SURGERY_EXPORTS:
+        bound.setdefault(export, getattr(surgery, export))
+    return bound[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _SURGERY_EXPORTS | {"surgery"})

@@ -55,6 +55,11 @@ class BraidWord(namedtuple("BraidWord", "strands letters")):
     def __len__(self) -> int:
         return len(self.letters)
 
+    def __reversed__(self):
+        # len() counts letters, not fields, so the sequence fallback of
+        # reversed() would index past the two fields and yield nothing
+        raise TypeError(f"{type(self).__name__!r} object is not reversible")
+
     def writhe(self) -> int:
         """Sum of letter signs (the writhe of the closure)."""
         return sum(1 if g > 0 else -1 for g in self.letters)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import namedtuple
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 from .braid import (
     BraidWord,
@@ -36,14 +36,49 @@ from .jones import (
     jones_tl,
 )
 from .poly import VAR_T, parse_slope
-from .surgery import (
-    cfrac_expand,
-    h1,
-    kirby_reduce,
-    parse_presentation,
-    parse_script,
-    render_presentation,
+
+if TYPE_CHECKING:  # bound on first use by _bind_surgery
+    from .surgery import (
+        cfrac_expand,
+        h1,
+        kirby_reduce,
+        parse_presentation,
+        parse_script,
+        render_presentation,
+    )
+
+# Only kirby, homology and cfrac use surgery, so the other commands never
+# compile surgery.py: these names become globals of this module when one
+# of those commands, or an attribute lookup on the module, first needs them.
+_SURGERY_NAMES = (
+    "cfrac_expand",
+    "h1",
+    "kirby_reduce",
+    "parse_presentation",
+    "parse_script",
+    "render_presentation",
 )
+
+
+def _bind_surgery() -> None:
+    # setdefault keeps a name rebound on this module before the first use,
+    # such as a wrapper that times the calls made through it.  A name is
+    # read from twistlink.surgery once, at that first use, so a wrapper set
+    # on twistlink.surgery then is the one this module calls from then on,
+    # even after surgery's own name is restored; one set there later is
+    # not seen.  To wrap these calls, rebind the name on this module.
+    from . import surgery
+
+    bound = globals()
+    for name in _SURGERY_NAMES:
+        bound.setdefault(name, getattr(surgery, name))
+
+
+def __getattr__(name: str):
+    if name not in _SURGERY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_surgery()
+    return globals()[name]
 
 
 class RunConfig(namedtuple("RunConfig", "statesum_limit tl_limit oracle")):
@@ -157,6 +192,7 @@ def cmd_dt(cfg: RunConfig, raw_items: list[str], out: TextIO) -> int:
 
 
 def cmd_kirby(cfg: RunConfig, pres_path: str, script_path: str | None, out: TextIO) -> int:
+    _bind_surgery()
     try:
         with open(pres_path, encoding="utf-8") as fh:
             p = parse_presentation(fh.read())
@@ -182,6 +218,7 @@ def cmd_kirby(cfg: RunConfig, pres_path: str, script_path: str | None, out: Text
 
 
 def cmd_cfrac(cfg: RunConfig, slope: str, out: TextIO) -> int:
+    _bind_surgery()
     try:
         cf = cfrac_expand(parse_slope(slope))
     except ValueError as exc:
@@ -192,6 +229,7 @@ def cmd_cfrac(cfg: RunConfig, slope: str, out: TextIO) -> int:
 
 
 def cmd_homology(cfg: RunConfig, pres_path: str, out: TextIO) -> int:
+    _bind_surgery()
     try:
         with open(pres_path, encoding="utf-8") as fh:
             p = parse_presentation(fh.read())

@@ -39,6 +39,15 @@ def test_braid_word_validation():
         BraidWord(3, (3,))
 
 
+def test_braid_word_is_not_reversible():
+    # len() is the letter count, so the sequence fallback would misread it
+    b = BraidWord(2, (1, 1, 1))
+    with pytest.raises(TypeError, match="not reversible"):
+        reversed(b)
+    assert len(b) == 3
+    assert list(b) == [2, (1, 1, 1)]
+
+
 def test_braid_word_rejects_bool_letters():
     # True would render as "2: True True True", which does not parse back
     with pytest.raises(ValueError, match="nonzero integers"):

@@ -267,6 +267,33 @@ def test_kirby_chain_transcript_bytes(tmp_path, capsys):
     assert digest == "c6a513099e3f6edb166eb5269ec45328175eeec860c707827b00da4ad10b2a22"
 
 
+def test_kirby_calls_names_rebound_before_surgery_loads(tmp_path, capsys, monkeypatch):
+    # the surgery names become globals of cli on first use; a wrapper set
+    # the way a tracer sets it (read the attribute, then assign it) before
+    # the first kirby run is the function that run calls
+    for name in cli._SURGERY_NAMES:
+        monkeypatch.delitem(vars(cli), name, raising=False)
+    pres = tmp_path / "chain.pres"
+    script = tmp_path / "chain.kirby"
+    pres.write_text(CHAIN_PRES)
+    script.write_text(CHAIN_SCRIPT)
+    calls = []
+    render = cli.render_presentation
+
+    def traced(p):
+        calls.append(p)
+        return render(p)
+
+    monkeypatch.setattr(cli, "render_presentation", traced)
+    code, out, err = run(capsys, "kirby", str(pres), str(script))
+    assert code == 0 and not err
+    assert len(calls) == 22
+    assert cli.parse_presentation is twistlink.surgery.parse_presentation
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c6a513099e3f6edb166eb5269ec45328175eeec860c707827b00da4ad10b2a22"
+    )
+
+
 def test_kirby_empty_script_echoes(tmp_path, capsys):
     pres = tmp_path / "p.pres"
     pres.write_text("components 1\nu 0 1\n")

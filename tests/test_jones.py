@@ -40,6 +40,8 @@ from oracles import (
     brute_bracket,
     coloring_determinant,
     jones_dict_in_t,
+    poly_mul,
+    poly_pow,
     random_knot_braid,
     torus_jones,
 )
@@ -251,6 +253,18 @@ def test_statesum_matches_tl_on_torus_knots():
     for b in (torus_braid(7, 8), torus_braid(8, 9), *map(parse_braid, texts)):
         d = braid_closure(b)
         assert jones(d, limit=len(d.crossings)) == jones_tl(b, limit=b.strands)
+
+
+def test_statesum_delta_power_of_split_hopf_links():
+    # n split Hopf links and f free strands: the state sum folds in
+    # delta^(n + f - 1) at once; the transfer route reaches 2^n matchings,
+    # so it checks ten pieces, and <Hopf>^n delta^(n-1) checks 400
+    ten = parse_braid("30: " + " ".join(f"{i} {i}" for i in range(1, 20, 2)))
+    assert jones(braid_closure(ten), limit=20) == jones_tl(ten, limit=30)
+    many = braid_closure(parse_braid("800: " + " ".join(f"{i} {i}" for i in range(1, 800, 2))))
+    hopf = as_dict(kauffman_bracket(braid_closure(parse_braid("2: 1 1"))))
+    expected = poly_mul(poly_pow(hopf, 400), poly_pow({2: -1, -2: -1}, 399))
+    assert as_dict(kauffman_bracket(many, limit=800)) == expected
 
 
 def test_statesum_on_wide_short_words():

@@ -185,3 +185,24 @@ def test_cli_import_skips_dataclasses_and_inspect():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+def test_package_import_leaves_surgery_for_its_commands():
+    # only kirby, homology and cfrac use surgery; a fresh interpreter shows
+    # that importing the CLI and the package does not load it, and that
+    # each surgery export still loads on access and is listed by dir()
+    src = str(Path(twistlink.__file__).parents[1])
+    code = (
+        "import sys, twistlink, twistlink.cli\n"
+        "print('twistlink.surgery' in sys.modules)\n"
+        "missing = sorted(set(twistlink.__all__ + ['surgery']) - set(dir(twistlink)))\n"
+        "values = [getattr(twistlink, name) for name in twistlink.__all__]\n"
+        "print(missing, 'twistlink.surgery' in sys.modules)\n"
+        "from twistlink import *\n"
+        "print(h1 is twistlink.surgery.h1 is twistlink.h1, hasattr(twistlink, 'nope'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "False\n[] True\nTrue False\n"
