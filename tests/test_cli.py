@@ -179,7 +179,7 @@ def test_run_configs_share_no_tables():
     assert a.tables.statesum is not b.tables.statesum
     assert a.tables.transfer is not b.tables.transfer
     assert cli.cmd_jones(a, MIXED_BATCH, io.StringIO()) == 0
-    assert len(a.tables.statesum.keys) > 1 and set(a.tables.transfer.bases) == {3, 4, 5}
+    assert len(a.tables.statesum.keys) > 1 and set(a.tables.transfer.bases) == {2, 3, 4, 5}
     assert b.tables.statesum.keys == [()] and b.tables.transfer.bases == {}
 
 

@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import random
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -257,14 +258,57 @@ def test_statesum_matches_tl_on_torus_knots():
 
 def test_statesum_delta_power_of_split_hopf_links():
     # n split Hopf links and f free strands: the state sum folds in
-    # delta^(n + f - 1) at once; the transfer route reaches 2^n matchings,
-    # so it checks ten pieces, and <Hopf>^n delta^(n-1) checks 400
+    # delta^(n + f - 1) at once; the transfer route checks ten pieces, and
+    # <Hopf>^n delta^(n-1) checks 400
     ten = parse_braid("30: " + " ".join(f"{i} {i}" for i in range(1, 20, 2)))
     assert jones(braid_closure(ten), limit=20) == jones_tl(ten, limit=30)
     many = braid_closure(parse_braid("800: " + " ".join(f"{i} {i}" for i in range(1, 800, 2))))
     hopf = as_dict(kauffman_bracket(braid_closure(parse_braid("2: 1 1"))))
     expected = poly_mul(poly_pow(hopf, 400), poly_pow({2: -1, -2: -1}, 399))
     assert as_dict(kauffman_bracket(many, limit=800)) == expected
+
+
+def _split_hopf(k):
+    return parse_braid(f"{2 * k}: " + " ".join(f"{i} {i}" for i in range(1, 2 * k, 2)))
+
+
+def _timed(budget_s, call):
+    """call(), failing if it takes more than budget_s seconds."""
+    start = time.perf_counter()
+    value = call()
+    elapsed = time.perf_counter() - start
+    if elapsed > budget_s:
+        pytest.fail(f"{elapsed:.3f}s over the {budget_s}s budget")
+    return value
+
+
+def test_transfer_closes_split_hopf_links_piece_by_piece():
+    # each piece's strands close once its letters are read, so the vector
+    # never holds more than two matchings however many pieces there are
+    for k in range(1, 7):
+        b = _split_hopf(k)
+        assert jones_tl(b, limit=2 * k) == jones(braid_closure(b), limit=2 * k), k
+    hopf = {-2: -1, -10: -1}  # -t^(1/2) - t^(5/2), with t = A^-4
+    assert as_dict(jones_of("2: 1 1")) == hopf
+    unlink = {2: -1, -2: -1}  # -t^(1/2) - t^(-1/2), V of the two-component unlink
+    expected = poly_mul(poly_pow(unlink, 399), poly_pow(hopf, 400))
+    assert as_dict(_timed(60, lambda: jones_tl(_split_hopf(400), limit=800))) == expected
+
+
+def test_transfer_word_passes_are_linear():
+    # 20,000 letters: cancelling and the closing schedule touch each letter
+    # a bounded number of times, where a rescan per letter would take minutes
+    b = parse_braid("4: " + " ".join(["1 3"] * 10000))
+    word = _timed(5, lambda: transfer._rotated(transfer._cancel(b.letters, 4), 4))
+    assert word == list(b.letters)  # both rotations cost the same
+    expected = ([19998, 19998, 19999], [19999] * 3)
+    assert _timed(5, lambda: transfer._closing_times(word, 4)) == expected
+    # a word followed by its inverse cancels from the middle out, and each
+    # inverse pair of "1 3 -1 -3" across the letter between them
+    unlink = jones_tl(parse_braid("4:"))
+    for text in ("1 3 " * 5000 + "-3 -1 " * 5000, "1 3 -1 -3 " * 5000):
+        assert transfer._cancel(parse_braid("4: " + text).letters, 4) == []
+        assert _timed(10, lambda: jones_tl(parse_braid("4: " + text))) == unlink
 
 
 def test_statesum_on_wide_short_words():
@@ -387,6 +431,8 @@ def test_transfer_tables_shared_or_fresh_give_equal_brackets():
             j, k = rng.sample(range(1, n), 2)
             wide.append(BraidWord(n, (j, -j, k, -k) * 3 + (j, k, -j, -k, j)))
     braids += wide
+    # words that close strands at both ends as they go
+    braids += [_closing_word(random.Random(37 + k).randint) for k in range(40)]
     rng.shuffle(braids)  # strand counts interleaved
     fresh = [transfer.bracket(b) for b in braids]
     tables = transfer.Tables()
@@ -398,6 +444,9 @@ def test_transfer_tables_shared_or_fresh_give_equal_brackets():
     # words meet a warm basis
     tables = transfer.Tables()
     order = sorted(range(len(braids)), key=lambda k: (braids[k].strands, -len(braids[k].letters)))
+    assert [transfer.bracket(braids[k], tables) for k in order] == [fresh[k] for k in order]
+    tables = transfer.Tables()
+    rng.shuffle(order)
     assert [transfer.bracket(braids[k], tables) for k in order] == [fresh[k] for k in order]
     # both routes through one RunTables
     run = RunTables()
@@ -492,3 +541,45 @@ def shuffled_diagrams(draw):
 def test_gluing_order_does_not_change_the_bracket(case):
     b, shuffled = case
     assert statesum.bracket(shuffled) == transfer.bracket(b)
+
+
+def _closing_word(pick):
+    """A word that leaves end strands idle, from ``pick(lo, hi)``, an integer in [lo, hi].
+
+    The core uses sigma_first..sigma_last of n strands: random letters, or
+    a torus part with a twist region on fewer strands.  The word is then
+    maybe stabilized, which adds a single sigma_n^(+-1), flipped (i ->
+    n - i), mirrored, and rotated.  At most 13 letters on 2-8 strands.
+    """
+    n = pick(2, 7)
+    first = pick(1, n - 1)
+    last = pick(first, n - 1)
+    core = tuple(range(first, last + 1))
+    if pick(0, 1):
+        sign = 2 * pick(0, 1) - 1
+        r = pick(1, min(3, len(core)))  # twists on r strands, fewer than the core's
+        letters = core * pick(1, 6 // len(core)) + tuple(sign * g for g in core[: r - 1]) * r
+    else:
+        letters = tuple((2 * pick(0, 1) - 1) * pick(first, last) for _ in range(pick(0, 12)))
+    b = BraidWord(n, letters)
+    if pick(0, 1):
+        b = markov_stabilize(b, 2 * pick(0, 1) - 1)
+    if pick(0, 1):
+        b = BraidWord(b.strands, tuple((b.strands - abs(g)) * (1 if g > 0 else -1) for g in b.letters))
+    if pick(0, 1):
+        b = mirror(b)
+    start = pick(0, max(len(b.letters) - 1, 0))
+    return BraidWord(b.strands, b.letters[start:] + b.letters[:start])
+
+
+@st.composite
+def closing_braids(draw):
+    return _closing_word(lambda lo, hi: draw(st.integers(min_value=lo, max_value=hi)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(closing_braids())
+def test_transfer_closing_strands_matches_both_witnesses(b):
+    expected = brute_bracket(b.strands, b.letters)
+    assert as_dict(transfer.bracket(b)) == expected
+    assert as_dict(statesum.bracket(braid_closure(b))) == expected
