@@ -20,7 +20,6 @@ strands.  Mirrors are T(p, -q, r, -s).
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd
 from typing import Union
 
@@ -123,24 +122,21 @@ def free_reduce_cyclic(letters: tuple[int, ...]) -> tuple[int, ...]:
     """Cancel adjacent inverse letters, treating the word as a cycle.
 
     The closure identifies the end of the word with its start, so a
-    trailing g and leading -g also cancel.  Iterates to a fixed point.
+    trailing g and leading -g also cancel.  One pass with a stack leaves
+    no adjacent inverse pair, and trimming cancelling ends off the result
+    cannot make one, so the ends are trimmed once, with two indices.
     """
-    word = list(letters)
-    changed = True
-    while changed and word:
-        changed = False
-        out: list[int] = []
-        for g in word:
-            if out and out[-1] == -g:
-                out.pop()
-                changed = True
-            else:
-                out.append(g)
-        while len(out) >= 2 and out[0] == -out[-1]:
-            out = out[1:-1]
-            changed = True
-        word = out
-    return tuple(word)
+    out: list[int] = []
+    for g in letters:
+        if out and out[-1] == -g:
+            out.pop()
+        else:
+            out.append(g)
+    start, end = 0, len(out)
+    while end - start >= 2 and out[start] == -out[end - 1]:
+        start += 1
+        end -= 1
+    return tuple(out[start:end])
 
 
 # -- generators -------------------------------------------------------------
@@ -308,6 +304,8 @@ def blow_down_axis(b: BraidWord, first: int, width: int, coeff: Slope) -> BraidW
     +-1; the emitted word is letter-for-letter the output of
     insert_full_twists with s = -1/coeff.
     """
+    from fractions import Fraction
+
     if coeff is INF or not isinstance(coeff, Fraction):
         raise ValueError("axis coefficient must be a finite rational")
     if coeff == 0 or abs(coeff.numerator) != 1:

@@ -17,13 +17,20 @@ links); otherwise the A-form is kept and rendered over half-integer
 powers of t.  This module holds what the routes have in common: their
 size limits, the tables a run keeps for them, the writhe normalization
 and the row format.
+
+A CLI run is a fresh interpreter, and without bytecode caches it
+compiles every module it imports, so this module imports the transfer
+route, and ``fractions``, only when a call first needs them: a run whose
+words all go to the state sum, and ``kirby``, never compile
+``transfer.py``.  The state sum, the route of every word under the
+limit, is imported up front.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import cached_property
 
-from . import statesum, transfer
+from . import statesum
 from .braid import BraidWord
 from .diagram import PlanarDiagram, writhe
 from .poly import VAR_T, LaurentPoly
@@ -41,14 +48,20 @@ class RunTables:
 
     ``statesum`` and ``transfer`` are each defined and owned by their
     route; what they keep does not depend on the call, so sharing them
-    across the items of a batch changes no result.  They are freed with
-    this object when the run ends.  A tables object belongs to one
-    thread.
+    across the items of a batch changes no result.  ``transfer`` is
+    built, importing its route, the first time it is read, and the same
+    object is returned after that.  They are freed with this object when
+    the run ends.  A tables object belongs to one thread.
     """
 
     def __init__(self) -> None:
         self.statesum = statesum.Tables()
-        self.transfer = transfer.Tables()
+
+    @cached_property
+    def transfer(self):
+        from . import transfer
+
+        return transfer.Tables()
 
 
 def kauffman_bracket(
@@ -93,6 +106,8 @@ def jones_tl(
     n = b.strands
     if n > limit:
         raise LimitExceeded(f"{n} strands exceeds the transfer limit {limit}")
+    from . import transfer
+
     bracket = transfer.bracket(b, None if tables is None else tables.transfer)
     return _as_t(_writhe_normalize(bracket, b.writhe()))
 
@@ -106,6 +121,8 @@ def determinant(v: LaurentPoly) -> int:
     """|V(-1)|, the knot determinant; needs an integer-exponent value."""
     if v.variable != VAR_T:
         raise ValueError("determinant needs a t-tagged polynomial")
+    from fractions import Fraction
+
     val = v.substitute(Fraction(-1))
     if val.denominator != 1:
         raise ValueError(f"V(-1) = {val} is not an integer")

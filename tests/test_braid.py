@@ -1,3 +1,5 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from twistlink.braid import (
     torus_braid,
     ttk_braid,
 )
+from twistlink.poly import INF
 
 letters_st = st.lists(
     st.integers(min_value=-3, max_value=3).filter(lambda g: g != 0), max_size=14
@@ -104,6 +107,46 @@ def test_free_reduce_cyclic_idempotent(letters):
     assert free_reduce_cyclic(once) == once
 
 
+def _naive_free_reduce_cyclic(letters):
+    # delete the first adjacent inverse pair, or else both ends when they
+    # cancel, until neither is left
+    word = list(letters)
+    while True:
+        i = next((i for i in range(len(word) - 1) if word[i] == -word[i + 1]), None)
+        if i is not None:
+            del word[i : i + 2]
+        elif len(word) >= 2 and word[0] == -word[-1]:
+            word = word[1:-1]
+        else:
+            return tuple(word)
+
+
+def test_free_reduce_cyclic_matches_naive_reference():
+    rng = random.Random(20)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 12))]
+        for _ in range(rng.randint(0, 6)):
+            g = rng.choice((1, -1)) * rng.randint(1, n - 1)
+            if rng.random() < 0.5:
+                word = [g] + word + [-g]  # a conjugation, cancelling at the seam
+            else:
+                at = rng.randint(0, len(word))
+                word[at:at] = [g, -g]
+        assert free_reduce_cyclic(tuple(word)) == _naive_free_reduce_cyclic(word), word
+
+
+def test_free_reduce_cyclic_is_linear_at_the_seam():
+    # k pairs cancel across the closure seam; trimming the ends by slicing
+    # a new copy per pair took 0.9 s at k = 16,000, growing as k squared
+    k = 100_000
+    word = (2,) * k + (1,) + (-2,) * k
+    start = time.perf_counter()
+    assert free_reduce_cyclic(word) == (1,)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"{elapsed:.3f}s over the 5.0s budget"
+
+
 def test_ttk_braid_frozen_words():
     word = ttk_braid(TwistedTorusSpec(8, 3, 4, -2))
     assert word.strands == 8
@@ -154,10 +197,14 @@ def test_blow_down_axis_matches_ttk():
     base = torus_braid(8, 3)
     via_surgery = blow_down_axis(base, 1, 4, Fraction(1, 2))
     assert via_surgery == ttk_braid(TwistedTorusSpec(8, 3, 4, -2))
-    with pytest.raises(ValueError):
+    assert blow_down_axis(base, 1, 4, Fraction(-1, 3)) == ttk_braid(TwistedTorusSpec(8, 3, 4, 3))
+    with pytest.raises(ValueError, match="-1/s for integer s, got 2/3$"):
         blow_down_axis(base, 1, 4, Fraction(2, 3))  # not 1/n
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="-1/s for integer s, got 0$"):
         blow_down_axis(base, 1, 4, Fraction(0))
+    for coeff in (INF, 1, -1.0):
+        with pytest.raises(ValueError, match="^axis coefficient must be a finite rational$"):
+            blow_down_axis(base, 1, 4, coeff)
 
 
 def test_render_parse_round_trip():

@@ -129,6 +129,18 @@ def test_jones_oracle_on_twisted_torus_knot(capsys):
     assert elapsed < 5.0, elapsed
 
 
+def test_jones_seam_word_in_bounded_time(capsys):
+    # 200,001 letters that reduce to one: the router and the closure each
+    # reduce the word, in one linear pass apiece
+    k = 100_000
+    start = time.perf_counter()
+    code, out, err = run(capsys, "jones", "3: " + "2 " * k + "1 " + "-2 " * k)
+    elapsed = time.perf_counter() - start
+    assert code == 0 and not err
+    assert out == "span=(-1/2,1/2) coeffs=[-1,-1]\n"
+    assert elapsed < 10.0, elapsed
+
+
 def test_dt_lines(capsys):
     code, out, err = run(capsys, "dt", "2: 1 1 1", "fig8=3: 1 -2 1 -2")
     assert code == 0
@@ -170,6 +182,27 @@ def test_batch_rows_equal_single_item_rows(capsys):
         code, out, err = run(capsys, "jones", *MIXED_BATCH[::order])
         assert code == 0 and not err
         assert out == "".join(singles[::order])
+
+
+def test_batch_rows_do_not_depend_on_the_first_route(capsys):
+    # a fresh CLI process imports the transfer route at its first TL item
+    # and fractions at its first determinant; in one order the batch starts
+    # on the state sum, in the other on TL, and --oracle never loads TL
+    env = dict(os.environ, PYTHONPATH=str(Path(twistlink.__file__).parents[1]))
+    for command in ("jones", "fingerprint"):
+        for order in (1, -1):
+            batch = MIXED_BATCH[::order]
+            code, expected, err = run(capsys, command, *batch)
+            assert code == 0 and not err
+            for flags in ((), ("--oracle",)):
+                proc = subprocess.run(
+                    [sys.executable, "-S", "-m", "twistlink", *flags, command, "-"],
+                    input="\n".join(batch) + "\n",
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                )
+                assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
 
 def test_run_configs_share_no_tables():

@@ -455,6 +455,18 @@ def test_transfer_tables_shared_or_fresh_give_equal_brackets():
         assert jones_tl(b, limit=b.strands, tables=run) == jones(d, limit=len(d.crossings), tables=run)
 
 
+def test_run_tables_build_the_transfer_tables_once():
+    run = RunTables()
+    assert "transfer" not in vars(run)  # not built until it is read
+    first = run.transfer
+    assert type(first) is transfer.Tables and run.transfer is first
+    b = ttk_braid(TwistedTorusSpec(4, 7, 2, 1))
+    v = jones_tl(b, tables=run)
+    assert run.transfer is first and first.bases
+    # with no tables, each call starts from fresh ones
+    assert jones_tl(b) == v == jones(braid_closure(b), limit=99)
+
+
 def _imported_modules(module: str) -> set[str]:
     source = Path(importlib.util.find_spec(module).origin).read_text()
     names = set()

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,12 @@ def test_constructor_takes_int_mappings_only():
 def test_substitute():
     p = LaurentPoly(VAR_T, {2: 1, 0: -1, -1: 3})
     assert p.substitute(Fraction(2)) == Fraction(4) - 1 + Fraction(3, 2)
+    assert p.substitute(2) == Fraction(9, 2) and type(p.substitute(2)) is Fraction
+    assert LaurentPoly(VAR_A, {0: 2, 3: 1}).substitute("1/2") == Fraction(17, 8)
+    with pytest.raises(ValueError, match="^cannot evaluate at inf$"):
+        p.substitute(INF)
+    with pytest.raises(ValueError, match="^evaluation at 0 with negative exponents present$"):
+        p.substitute(0)
 
 
 def test_delta_power_matches_repeated_product():
@@ -75,11 +82,11 @@ def test_delta_power_matches_repeated_product():
 
 @pytest.mark.parametrize(
     "text,num,den",
-    [("2/7", 2, 7), ("-1/2", -1, 2), ("4", 4, 1), ("0", 0, 1), ("6/4", 3, 2)],
+    [("2/7", 2, 7), ("-1/2", -1, 2), ("4", 4, 1), ("0", 0, 1), ("6/4", 3, 2), ("3/-4", -3, 4)],
 )
 def test_parse_slope_rationals(text, num, den):
     s = parse_slope(text)
-    assert (s.numerator, s.denominator) == (num, den)
+    assert type(s) is Fraction and (s.numerator, s.denominator) == (num, den)
 
 
 def test_parse_slope_inf_round_trip():
@@ -88,11 +95,12 @@ def test_parse_slope_inf_round_trip():
     assert not is_integral(INF)
     assert is_integral(parse_slope("3"))
     assert not is_integral(parse_slope("3/2"))
+    assert not is_integral(3) and not is_integral(1.0)
 
 
 def test_parse_slope_rejects_garbage():
     for bad in ("", "x", "1/0", "2/", "1.5"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(f"bad rational '{bad}': ")):
             parse_slope(bad)
 
 
@@ -102,6 +110,13 @@ def test_format_slope_round_trip():
 
 
 def test_format_slope_rejects_non_slopes():
-    for bad in (0.5, 3, "1/2"):
-        with pytest.raises(TypeError):
+    for bad in (0.5, 1.5, 3, True, None, "1/2"):
+        message = f"slope must be a Fraction or INF, got {bad!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
             format_slope(bad)
+
+
+def test_slope_alias_still_imports():
+    from twistlink.poly import Slope
+
+    assert "Fraction" in str(Slope) and "_Infinity" in str(Slope)

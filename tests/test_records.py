@@ -206,3 +206,42 @@ def test_package_import_leaves_surgery_for_its_commands():
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout == "False\n[] True\nTrue False\n"
+
+
+def test_transfer_and_fractions_load_at_first_use(tmp_path):
+    # compiling transfer.py and importing fractions (which loads decimal)
+    # cost milliseconds at start-up; each fresh interpreter (-S) prints
+    # which of the three are loaded after each step
+    (tmp_path / "p.pres").write_text("components 2\nk 5 1\nm 7/3 1\nlk k m 1\nmeridian m k\n")
+    (tmp_path / "s.kirby").write_text("chain m\nslamdunk m.3 m.2\n")
+    src = str(Path(twistlink.__file__).parents[1])
+    head = (
+        "import os, sys, twistlink, twistlink.cli as cli\n"
+        "def loaded():\n"
+        "    names = ('twistlink.transfer', 'fractions', 'decimal')\n"
+        "    print([name for name in names if name in sys.modules])\n"
+        "def run(*argv):\n"
+        "    assert cli.main(['--output', os.devnull, *argv]) == 0, argv\n"
+        "    loaded()\n"
+    )
+    steps = {
+        "jones": (
+            "cli.RunConfig(24, 12, False)\n"
+            "loaded()\n"
+            "run('jones', '2: 1 1 1', 'fig8=3: 1 -2 1 -2', '4: 1 2 3 1 2 3 1 2 3 1 2 3')\n"
+            "run('dt', '2: 1 1 1', 'fig8=3: 1 -2 1 -2')\n"
+            "run('jones', '2: 1 1 1', '3: ' + '1 2 ' * 13)\n"
+        ),
+        "cfrac": "run('cfrac', '2/7')\n",
+        "kirby": "run('kirby', 'p.pres', 's.kirby')\n",
+    }
+    env = dict(os.environ, PYTHONPATH=src)
+    out = {}
+    for name, code in steps.items():
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", head + code],
+            cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+        )
+        out[name] = proc.stdout
+    assert out["jones"] == "[]\n[]\n[]\n['twistlink.transfer']\n"
+    assert out["cfrac"] == out["kirby"] == "['fractions', 'decimal']\n"
