@@ -12,7 +12,6 @@ from .braid import (
     Stabilize,
     TwistedTorusSpec,
     TwistRegion,
-    blow_down_axis,
     conjugate,
     gttk_braid,
     insert_full_twists,
@@ -43,7 +42,7 @@ from .jones import (
     kauffman_bracket,
     mirror_poly,
 )
-from .poly import INF, LaurentPoly, format_slope, parse_slope
+from .poly import LaurentPoly
 
 __version__ = "0.1.0"
 

@@ -23,8 +23,6 @@ from collections import namedtuple
 from math import gcd
 from typing import Union
 
-from .poly import INF, Slope, format_slope
-
 
 class BraidWord(namedtuple("BraidWord", "strands letters")):
     """A braid word: ``strands`` and its ``letters``, checked when built.
@@ -293,27 +291,6 @@ def gttk_braid(spec: GeneralizedTTKSpec) -> BraidWord:
         else:
             b = insert_full_twists(b, op.first, op.width, op.twists)
     return b
-
-
-def blow_down_axis(b: BraidWord, first: int, width: int, coeff: Slope) -> BraidWord:
-    """Twists produced by blowing down a -1/s framed axis circle.
-
-    An unknotted surgery circle with coefficient -1/s around ``width``
-    adjacent strands, when blown down, gives those strands s full twists.
-    The coefficient must therefore be a nonzero fraction with numerator
-    +-1; the emitted word is letter-for-letter the output of
-    insert_full_twists with s = -1/coeff.
-    """
-    from fractions import Fraction
-
-    if coeff is INF or not isinstance(coeff, Fraction):
-        raise ValueError("axis coefficient must be a finite rational")
-    if coeff == 0 or abs(coeff.numerator) != 1:
-        raise ValueError(
-            f"axis coefficient must be -1/s for integer s, got {format_slope(coeff)}"
-        )
-    s = -coeff.denominator * coeff.numerator  # -1/coeff, exactly
-    return insert_full_twists(b, first, width, s)
 
 
 # -- text format --------------------------------------------------------------

@@ -35,7 +35,7 @@ from .jones import (
     jones,
     jones_tl,
 )
-from .poly import VAR_T, parse_slope
+from .poly import VAR_T
 
 if TYPE_CHECKING:  # bound on first use by _bind_surgery
     from .surgery import (
@@ -44,6 +44,7 @@ if TYPE_CHECKING:  # bound on first use by _bind_surgery
         kirby_reduce,
         parse_presentation,
         parse_script,
+        parse_slope,
         render_presentation,
     )
 
@@ -56,6 +57,7 @@ _SURGERY_NAMES = (
     "kirby_reduce",
     "parse_presentation",
     "parse_script",
+    "parse_slope",
     "render_presentation",
 )
 
@@ -120,12 +122,13 @@ def _read_items(raw: list[str]) -> list[tuple[str | None, str]]:
 
 def _jones_of_text(text: str, cfg: RunConfig):
     # route on the crossing count after cyclic free reduction, the count
-    # the closure would have; only the state sum needs the closure itself
+    # the closure has; both routes take the reduced word, and only the
+    # state sum needs the closure itself
     b = parse_braid(text)
-    letters = free_reduce_cyclic(b.letters)
-    if cfg.oracle or len(letters) <= cfg.statesum_limit:
-        return jones(braid_closure(b), limit=len(letters), tables=cfg.tables)
-    return jones_tl(BraidWord(b.strands, letters), limit=cfg.tl_limit, tables=cfg.tables)
+    reduced = BraidWord(b.strands, free_reduce_cyclic(b.letters))
+    if cfg.oracle or len(reduced) <= cfg.statesum_limit:
+        return jones(braid_closure(reduced), limit=len(reduced), tables=cfg.tables)
+    return jones_tl(reduced, limit=cfg.tl_limit, tables=cfg.tables)
 
 
 def cmd_gen(cfg: RunConfig, args: list[str], out: TextIO) -> int:

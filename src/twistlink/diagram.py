@@ -94,30 +94,6 @@ def writhe(d: PlanarDiagram) -> int:
     return sum(c.sign for c in d.crossings)
 
 
-def linking_matrix(d: PlanarDiagram) -> list[list[int]]:
-    """Pairwise linking numbers; zero diagonal.
-
-    Entry (i,j) is half the signed count of crossings between components i
-    and j, which is always even in total.
-    """
-    comp_of = {}
-    for k, comp in enumerate(d.components):
-        for a in comp:
-            comp_of[a] = k
-    m = len(d.components)
-    twice = [[0] * m for _ in range(m)]
-    for c in d.crossings:
-        i, j = comp_of[c.in_left], comp_of[c.in_right]
-        if i != j:
-            twice[i][j] += c.sign
-            twice[j][i] += c.sign
-    for row in twice:
-        for v in row:
-            if v % 2:
-                raise RuntimeError("inter-component crossing signs must sum evenly")
-    return [[v // 2 for v in row] for row in twice]
-
-
 class DTCode(namedtuple("DTCode", "pairs")):
     """Dowker-Thistlethwaite pairs: entry i is the signed even partner of
     odd label 2i-1; sign is negative exactly when the even pass is over."""

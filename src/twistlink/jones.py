@@ -20,10 +20,9 @@ and the row format.
 
 A CLI run is a fresh interpreter, and without bytecode caches it
 compiles every module it imports, so this module imports the transfer
-route, and ``fractions``, only when a call first needs them: a run whose
-words all go to the state sum, and ``kirby``, never compile
-``transfer.py``.  The state sum, the route of every word under the
-limit, is imported up front.
+route only when a call first needs it: a run whose words all go to the
+state sum, and ``kirby``, never compile ``transfer.py``.  The state sum,
+the route of every word under the limit, is imported up front.
 """
 
 from __future__ import annotations
@@ -118,15 +117,14 @@ def mirror_poly(p: LaurentPoly) -> LaurentPoly:
 
 
 def determinant(v: LaurentPoly) -> int:
-    """|V(-1)|, the knot determinant; needs an integer-exponent value."""
+    """|V(-1)|, the knot determinant; needs an integer-exponent value.
+
+    At t = -1 each term c*t^e is c or -c by the parity of e, so the sum
+    is computed in integers.
+    """
     if v.variable != VAR_T:
         raise ValueError("determinant needs a t-tagged polynomial")
-    from fractions import Fraction
-
-    val = v.substitute(Fraction(-1))
-    if val.denominator != 1:
-        raise ValueError(f"V(-1) = {val} is not an integer")
-    return abs(int(val))
+    return abs(sum(-c if e % 2 else c for e, c in v.terms()))
 
 
 def format_jones_row(name: str | None, v: LaurentPoly) -> str:

@@ -15,6 +15,12 @@ link of the chain carries the next as its meridian.
 
 First homology is the machine-checkable invariant: every move preserves
 it, and kirby_reduce fails hard if a step changes it.
+
+Coefficients are slopes: a ``Fraction`` or the infinite slope ``INF``.
+Slopes also meet braids here: ``blow_down_axis`` turns a -1/s framed
+axis circle around adjacent strands into s full twists on them.  This is
+the only module of the package that imports ``fractions``, which loads
+``decimal``, so the commands that read no slope load neither.
 """
 
 from __future__ import annotations
@@ -24,9 +30,56 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd
-from typing import NamedTuple
+from typing import NamedTuple, Union
 
-from .poly import INF, Slope, format_slope, is_integral, parse_slope
+from .braid import BraidWord, insert_full_twists
+
+
+class _Infinity:
+    """The slope 1/0, used as a surgery coefficient for unfilled components.
+
+    A single instance ``INF`` exists.  It compares unequal to every finite
+    value and supports no arithmetic.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "inf"
+
+
+INF = _Infinity()
+
+# A surgery coefficient: a reduced fraction or the infinite slope.
+Slope = Union[Fraction, _Infinity]
+
+
+def parse_slope(text: str) -> Slope:
+    """Parse ``p/q``, a bare integer, or ``inf``."""
+    text = text.strip()
+    if text == "inf":
+        return INF
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return Fraction(int(num), int(den))
+        return Fraction(int(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad rational {text!r}: {exc}") from None
+
+
+def format_slope(value: Slope) -> str:
+    if value is INF:
+        return "inf"
+    if not isinstance(value, Fraction):
+        raise TypeError(f"slope must be a Fraction or INF, got {value!r}")
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
+
+
+def is_integral(value: Slope) -> bool:
+    return isinstance(value, Fraction) and value.denominator == 1
 
 
 class Component(NamedTuple):
@@ -291,6 +344,25 @@ def blow_up(
     ]
     mat.append(list(links_to) + [0])
     return _rebuild(comps, mat, p.meridian_edges)
+
+
+def blow_down_axis(b: BraidWord, first: int, width: int, coeff: Slope) -> BraidWord:
+    """Twists produced by blowing down a -1/s framed axis circle.
+
+    An unknotted surgery circle with coefficient -1/s around ``width``
+    adjacent strands, when blown down, gives those strands s full twists.
+    The coefficient must therefore be a nonzero fraction with numerator
+    +-1; the emitted word is letter-for-letter the output of
+    insert_full_twists with s = -1/coeff.
+    """
+    if coeff is INF or not isinstance(coeff, Fraction):
+        raise ValueError("axis coefficient must be a finite rational")
+    if coeff == 0 or abs(coeff.numerator) != 1:
+        raise ValueError(
+            f"axis coefficient must be -1/s for integer s, got {format_slope(coeff)}"
+        )
+    s = -coeff.denominator * coeff.numerator  # -1/coeff, exactly
+    return insert_full_twists(b, first, width, s)
 
 
 def slam_dunk(p: SurgeryPresentation, meridian: str, target: str) -> SurgeryPresentation:

@@ -15,7 +15,6 @@ from oracles import det_bareiss, grid_dt, torus_jones
 from twistlink.braid import (
     BraidWord,
     TwistedTorusSpec,
-    blow_down_axis,
     conjugate,
     free_reduce_cyclic,
     markov_stabilize,
@@ -25,10 +24,11 @@ from twistlink.braid import (
 )
 from twistlink.diagram import braid_closure, dt_code, parse_dt, render_dt
 from twistlink.jones import determinant, jones, jones_tl, mirror_poly
-from twistlink.poly import INF
 from twistlink.surgery import (
+    INF,
     apply_move,
     blow_down,
+    blow_down_axis,
     blow_up,
     cfrac_eval,
     cfrac_expand,

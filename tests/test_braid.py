@@ -12,7 +12,6 @@ from twistlink.braid import (
     Stabilize,
     TwistedTorusSpec,
     TwistRegion,
-    blow_down_axis,
     conjugate,
     free_reduce_cyclic,
     gttk_braid,
@@ -25,7 +24,7 @@ from twistlink.braid import (
     torus_braid,
     ttk_braid,
 )
-from twistlink.poly import INF
+from twistlink.surgery import INF, blow_down_axis
 
 letters_st = st.lists(
     st.integers(min_value=-3, max_value=3).filter(lambda g: g != 0), max_size=14

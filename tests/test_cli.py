@@ -130,8 +130,8 @@ def test_jones_oracle_on_twisted_torus_knot(capsys):
 
 
 def test_jones_seam_word_in_bounded_time(capsys):
-    # 200,001 letters that reduce to one: the router and the closure each
-    # reduce the word, in one linear pass apiece
+    # 200,001 letters that reduce to one: the router reduces the word in
+    # one linear pass, and the closure is built from the reduced letters
     k = 100_000
     start = time.perf_counter()
     code, out, err = run(capsys, "jones", "3: " + "2 " * k + "1 " + "-2 " * k)
@@ -139,6 +139,26 @@ def test_jones_seam_word_in_bounded_time(capsys):
     assert code == 0 and not err
     assert out == "span=(-1/2,1/2) coeffs=[-1,-1]\n"
     assert elapsed < 10.0, elapsed
+
+
+def test_state_sum_word_is_reduced_once(capsys, monkeypatch):
+    # the router reduces the word and routes the reduced word, so the
+    # closure's own reduction is given one with no cancelling pair
+    from twistlink import diagram
+
+    seen = []
+    reduce = diagram.free_reduce_cyclic
+
+    def recording(letters):
+        seen.append(letters)
+        return reduce(letters)
+
+    monkeypatch.setattr(diagram, "free_reduce_cyclic", recording)
+    words = ("3: 2 1 -1 1 2 2 -2", "3: -2 1 1 1 2", "2: 1 -1 1 1 -1 1")
+    code, out, err = run(capsys, "jones", *words)
+    assert code == 0 and not err
+    assert seen == [(2, 1, 2), (1, 1, 1), (1, 1)]
+    assert out == run(capsys, "jones", "3: 2 1 2", "3: 1 1 1", "2: 1 1")[1]
 
 
 def test_dt_lines(capsys):

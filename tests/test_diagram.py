@@ -10,7 +10,6 @@ from twistlink.diagram import (
     DTCode,
     braid_closure,
     dt_code,
-    linking_matrix,
     parse_dt,
     render_dt,
     writhe,
@@ -55,16 +54,6 @@ def test_components_partition_the_arcs():
         arcs = sorted(a for comp in d.components for a in comp)
         ends = {a for c in d.crossings for a in (c.in_left, c.in_right, c.out_left, c.out_right)}
         assert arcs == sorted(ends | set(d.free_loops)) == list(range(len(arcs)))
-
-
-def test_linking_matrix_hopf():
-    assert linking_matrix(close("2: 1 1")) == [[0, 1], [1, 0]]
-    assert linking_matrix(close("2: -1 -1")) == [[0, -1], [-1, 0]]
-
-
-def test_linking_matrix_torus_link():
-    # T(2,4): two components with linking number 2
-    assert linking_matrix(close("2: 1 1 1 1")) == [[0, 2], [2, 0]]
 
 
 def test_dt_code_frozen_examples():

@@ -5,15 +5,8 @@ import pytest
 
 from oracles import poly_mul, poly_pow
 from twistlink import statesum
-from twistlink.poly import (
-    INF,
-    LaurentPoly,
-    VAR_A,
-    VAR_T,
-    format_slope,
-    is_integral,
-    parse_slope,
-)
+from twistlink.poly import VAR_A, VAR_T, LaurentPoly
+from twistlink.surgery import INF, format_slope, is_integral, parse_slope
 
 def test_constructor_drops_zero_coefficients():
     p = LaurentPoly(VAR_A, {3: 0, 1: 2})
@@ -59,17 +52,6 @@ def test_constructor_takes_int_mappings_only():
         LaurentPoly("x", {0: 1})
 
 
-def test_substitute():
-    p = LaurentPoly(VAR_T, {2: 1, 0: -1, -1: 3})
-    assert p.substitute(Fraction(2)) == Fraction(4) - 1 + Fraction(3, 2)
-    assert p.substitute(2) == Fraction(9, 2) and type(p.substitute(2)) is Fraction
-    assert LaurentPoly(VAR_A, {0: 2, 3: 1}).substitute("1/2") == Fraction(17, 8)
-    with pytest.raises(ValueError, match="^cannot evaluate at inf$"):
-        p.substitute(INF)
-    with pytest.raises(ValueError, match="^evaluation at 0 with negative exponents present$"):
-        p.substitute(0)
-
-
 def test_delta_power_matches_repeated_product():
     # the state sum's closing product: delta^k alone, and a table in which
     # (2A - 2A^5) * delta cancels its A^3 terms
@@ -78,6 +60,9 @@ def test_delta_power_matches_repeated_product():
         delta_k = poly_pow({2: -1, -2: -1}, k)
         assert statesum._times_delta_power({0: 1}, k) == delta_k, k
         assert statesum._times_delta_power(bracket, k) == poly_mul(bracket, delta_k), k
+
+
+# -- slopes (twistlink.surgery) --------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -114,9 +99,3 @@ def test_format_slope_rejects_non_slopes():
         message = f"slope must be a Fraction or INF, got {bad!r}"
         with pytest.raises(TypeError, match=re.escape(message)):
             format_slope(bad)
-
-
-def test_slope_alias_still_imports():
-    from twistlink.poly import Slope
-
-    assert "Fraction" in str(Slope) and "_Infinity" in str(Slope)

@@ -209,16 +209,16 @@ def test_package_import_leaves_surgery_for_its_commands():
 
 
 def test_transfer_and_fractions_load_at_first_use(tmp_path):
-    # compiling transfer.py and importing fractions (which loads decimal)
-    # cost milliseconds at start-up; each fresh interpreter (-S) prints
-    # which of the three are loaded after each step
+    # compiling transfer.py or surgery.py and importing fractions (which
+    # loads decimal) cost milliseconds at start-up; each fresh interpreter
+    # (-S) prints which of the four are loaded after each step
     (tmp_path / "p.pres").write_text("components 2\nk 5 1\nm 7/3 1\nlk k m 1\nmeridian m k\n")
     (tmp_path / "s.kirby").write_text("chain m\nslamdunk m.3 m.2\n")
     src = str(Path(twistlink.__file__).parents[1])
     head = (
         "import os, sys, twistlink, twistlink.cli as cli\n"
         "def loaded():\n"
-        "    names = ('twistlink.transfer', 'fractions', 'decimal')\n"
+        "    names = ('twistlink.transfer', 'twistlink.surgery', 'fractions', 'decimal')\n"
         "    print([name for name in names if name in sys.modules])\n"
         "def run(*argv):\n"
         "    assert cli.main(['--output', os.devnull, *argv]) == 0, argv\n"
@@ -230,6 +230,7 @@ def test_transfer_and_fractions_load_at_first_use(tmp_path):
             "loaded()\n"
             "run('jones', '2: 1 1 1', 'fig8=3: 1 -2 1 -2', '4: 1 2 3 1 2 3 1 2 3 1 2 3')\n"
             "run('dt', '2: 1 1 1', 'fig8=3: 1 -2 1 -2')\n"
+            "run('fingerprint', '2: 1 1 1', 'hopf=2: 1 1')\n"
             "run('jones', '2: 1 1 1', '3: ' + '1 2 ' * 13)\n"
         ),
         "cfrac": "run('cfrac', '2/7')\n",
@@ -243,5 +244,5 @@ def test_transfer_and_fractions_load_at_first_use(tmp_path):
             cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
         )
         out[name] = proc.stdout
-    assert out["jones"] == "[]\n[]\n[]\n['twistlink.transfer']\n"
-    assert out["cfrac"] == out["kirby"] == "['fractions', 'decimal']\n"
+    assert out["jones"] == "[]\n[]\n[]\n[]\n['twistlink.transfer']\n"
+    assert out["cfrac"] == out["kirby"] == "['twistlink.surgery', 'fractions', 'decimal']\n"

@@ -34,3 +34,16 @@ def test_package_modules_use_every_import():
             if (alias.asname or alias.name).split(".")[0] not in used
         ]
     assert not unused, unused
+
+
+def test_only_surgery_imports_fractions():
+    # fractions loads decimal at import; slopes are the package's only
+    # rationals, and they live in surgery, which the Jones commands never load
+    importers = sorted(
+        path.name
+        for path in PACKAGE.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+    )
+    assert importers == ["surgery.py"], importers

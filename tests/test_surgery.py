@@ -1,12 +1,15 @@
+import inspect
 import random
+import typing
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistlink.poly import INF
+from twistlink import surgery
 from twistlink.surgery import (
+    INF,
     Component,
     ContinuedFraction,
     Homology,
@@ -45,6 +48,28 @@ def chain_presentation(terms, base="x"):
     linking = {(names[i], names[i + 1]): 1 for i in range(len(names) - 1)}
     meridians = [(names[i + 1], names[i]) for i in range(len(names) - 1)]
     return presentation(comps, linking, meridians)
+
+
+def test_type_hints_resolve():
+    # every annotation of the module names what the module binds, so
+    # type checkers and get_type_hints see Slope as the union it is
+    functions = []
+    for obj in vars(surgery).values():
+        if getattr(obj, "__module__", None) != surgery.__name__:
+            continue
+        if isinstance(obj, type):
+            typing.get_type_hints(obj)
+            functions += [getattr(f, "__func__", f) for f in vars(obj).values()]
+        else:
+            functions.append(obj)
+    functions = [f for f in functions if inspect.isfunction(f)]
+    assert {surgery.presentation, surgery.cfrac_expand, surgery.blow_down_axis} <= set(functions)
+    for f in functions:
+        typing.get_type_hints(f)
+    slope = typing.Union[Fraction, surgery._Infinity]
+    assert surgery.Slope == slope
+    assert typing.get_type_hints(Component)["coefficient"] == slope
+    assert typing.get_type_hints(cfrac_expand)["x"] == slope
 
 
 # -- validation -------------------------------------------------------------
