@@ -18,6 +18,14 @@ powers of t.  This module holds what the routes have in common: their
 size limits, the tables a run keeps for them, the writhe normalization
 and the row format.
 
+The normalization reads the bracket's exponent -> coefficient table once
+and builds one new table, in which the shift by -3w, the sign (-1)^w
+and the change to t (e -> -e/4) happen in a single comprehension.  It
+skips the constructor's checks: every key and value is an int computed
+from a checked table, and none is zero.  The row format looks
+coefficients up in that table by exponent, so nothing between bracket
+and row sorts the terms.
+
 A CLI run is a fresh interpreter, and without bytecode caches it
 compiles every module it imports, so this module imports the transfer
 route only when a call first needs it: a run whose words all go to the
@@ -32,7 +40,7 @@ from functools import cached_property
 from . import statesum
 from .braid import BraidWord
 from .diagram import PlanarDiagram, writhe
-from .poly import VAR_T, LaurentPoly
+from .poly import VAR_A, VAR_T, LaurentPoly
 
 DEFAULT_STATESUM_LIMIT = 24
 DEFAULT_TL_LIMIT = 12
@@ -80,22 +88,20 @@ def kauffman_bracket(
 
 
 def _writhe_normalize(bracket: LaurentPoly, w: int) -> LaurentPoly:
-    v = bracket.shifted(-3 * w)
-    return v if w % 2 == 0 else -v
-
-
-def _as_t(p: LaurentPoly) -> LaurentPoly:
-    """Convert from A to t = A^-4 when exponents allow, else keep A."""
-    if any(e % 4 for e, _ in p.terms()):
-        return p
-    return LaurentPoly(VAR_T, {-e // 4: coef for e, coef in p.terms()})
+    """V = (-A)^(-3w) * bracket, in t = A^-4 when every exponent allows, else in A."""
+    shift = -3 * w
+    sign = -1 if w % 2 else 1
+    table = bracket._coeffs
+    if any((e + shift) % 4 for e in table):
+        return LaurentPoly._raw(VAR_A, {e + shift: sign * c for e, c in table.items()})
+    return LaurentPoly._raw(VAR_T, {-(e + shift) // 4: sign * c for e, c in table.items()})
 
 
 def jones(
     d: PlanarDiagram, limit: int = DEFAULT_STATESUM_LIMIT, tables: RunTables | None = None
 ) -> LaurentPoly:
     """Jones polynomial of a closed diagram, state-sum route."""
-    return _as_t(_writhe_normalize(kauffman_bracket(d, limit, tables), writhe(d)))
+    return _writhe_normalize(kauffman_bracket(d, limit, tables), writhe(d))
 
 
 def jones_tl(
@@ -108,7 +114,7 @@ def jones_tl(
     from . import transfer
 
     bracket = transfer.bracket(b, None if tables is None else tables.transfer)
-    return _as_t(_writhe_normalize(bracket, b.writhe()))
+    return _writhe_normalize(bracket, b.writhe())
 
 
 def mirror_poly(p: LaurentPoly) -> LaurentPoly:
@@ -131,20 +137,21 @@ def format_jones_row(name: str | None, v: LaurentPoly) -> str:
     """One table row: ``name span=(m,M) coeffs=[...]``; name optional.
 
     A t-tagged value spans integer powers.  An A-tagged value (even
-    component count) spans half-integer powers of t, written k/2, with
-    the coefficient list stepping by whole powers of t.
+    component count, so every exponent is even) spans half-integer
+    powers of t, written k/2, with the coefficient list stepping by
+    whole powers of t.
     """
-    if v.is_zero:
+    table = v._coeffs
+    if not table:
         raise ValueError("zero polynomial has no span")
+    lo, hi = min(table), max(table)
     if v.variable == VAR_T:
-        lo, hi = v.degree_span()
-        coeffs = [v.coefficient(e) for e in range(lo, hi + 1)]
+        coeffs = [table.get(e, 0) for e in range(lo, hi + 1)]
         span = f"({lo},{hi})"
     else:
-        halves = {-e // 2: coef for e, coef in v.terms()}
-        lo, hi = min(halves), max(halves)
-        coeffs = [halves.get(k, 0) for k in range(lo, hi + 1, 2)]
-        span = f"({lo}/2,{hi}/2)"
-    body = ",".join(str(c) for c in coeffs)
+        # t^(k/2) = A^(-2k): the half-powers run from -hi/2 to -lo/2
+        coeffs = [table.get(e, 0) for e in range(hi, lo - 1, -4)]
+        span = f"({-hi // 2}/2,{-lo // 2}/2)"
+    body = ",".join(map(str, coeffs))
     row = f"span={span} coeffs=[{body}]"
     return f"{name} {row}" if name else row

@@ -53,8 +53,10 @@ letter at most doubles it (the curl term keeps it), closing one strand
 at most doubles it (delta has measure 2, and merging only adds), and
 the closure of the k strands left multiplies it by at most 2^(k-1), so
 every coefficient of the bracket of a c-letter word on n strands is at
-most 2^(c+n-1) in absolute value.  Cancelling only lowers c, so
-``slot_width`` of the input word holds it with a sign bit.  As runtime
+most 2^(c+n-1) in absolute value.  The bound is on the word that is
+read, so c counts the letters left after cancelling, and ``slot_width``
+of that word holds it with a sign bit: "4: 1 3 -1 -3 ... 2 2", 34
+letters that cancel to 2, gets 7-bit slots, not 39.  As runtime
 guards, the decoded bracket at A = 1 must equal (-1)^w * (-2)^(mu-1),
 with w the exponent sum and mu the number of cycles of the strand
 permutation, because the Jones polynomial at t = 1 is (-2)^(mu-1); and
@@ -213,8 +215,8 @@ def _packed_delta_power(k: int, width: int) -> int:
     return -packed if k % 2 else packed
 
 
-def _unpack(packed: int, low: int, width: int) -> LaurentPoly:
-    """Decode signed slots one A^2 apart, the first at A^low.
+def _unpack(packed: int, low: int, width: int) -> dict[int, int]:
+    """Decode signed slots one A^2 apart, the first at A^low, into exponent -> coefficient.
 
     Adding ``half`` to every slot makes each slot a field in [0, 2^width)
     that borrows from no other, so the fields split apart independently.
@@ -223,8 +225,7 @@ def _unpack(packed: int, low: int, width: int) -> LaurentPoly:
     half = 1 << (width - 1)
     count = packed.bit_length() // width + 2
     fields = _split(packed + _join([half] * count, width), count, width)
-    table = {low + 2 * i: c - half for i, c in enumerate(fields) if c != half}
-    return LaurentPoly._raw(VAR_A, table)
+    return {low + 2 * i: c - half for i, c in enumerate(fields) if c != half}
 
 
 def _cycle_count(perm: list[int]) -> int:
@@ -295,11 +296,15 @@ def _cancel(letters: tuple[int, ...], n: int) -> list[int]:
     for g in letters:
         j = abs(g)
         own = live[j]
-        if own and out[own[-1]] == -g and all(not s or s[-1] < own[-1] for s in (live[j - 1], live[j + 1])):
-            out[own.pop()] = 0
-        else:
-            own.append(len(out))
-            out.append(g)
+        if own:
+            t = own[-1]
+            if out[t] == -g:
+                below, above = live[j - 1], live[j + 1]
+                if (not below or below[-1] < t) and (not above or above[-1] < t):
+                    out[own.pop()] = 0
+                    continue
+        own.append(len(out))
+        out.append(g)
     return [g for g in out if g]
 
 
@@ -314,15 +319,16 @@ def _closing_times(letters: list[int], n: int) -> tuple[list[int], list[int]]:
     return list(accumulate(last[1:n], max)), list(accumulate(last[n - 1 : 0 : -1], max))
 
 
-def _rotated(letters: list[int], n: int) -> list[int]:
+def _rotated(letters: list[int], n: int) -> tuple[list[int], list[int], list[int]]:
     """The rotation of the word that ends with the largest gap between
     letters of sigma_1, or of sigma_(n-1), whichever leaves fewer
     matchings to carry: the sum over letters of Catalan(open strands).
+    Returns the word with the ``_closing_times`` its cost was taken from.
     """
     catalan = [1]
     for k in range(n):
         catalan.append(catalan[-1] * 2 * (2 * k + 1) // (k + 2))
-    best, best_cost = letters, None
+    best, best_cost = None, None
     for j in (1, n - 1):
         at = [t for t, g in enumerate(letters) if abs(g) == j]
         if not at:
@@ -337,7 +343,9 @@ def _rotated(letters: list[int], n: int) -> list[int]:
             closing[t + 1] += 1
         cost = sum(catalan[n - closed] for closed in accumulate(closing[:-1]))
         if best_cost is None or cost < best_cost:
-            best, best_cost = word, cost
+            best, best_cost = (word, lefts, rights), cost
+    if best is None:  # no letter of sigma_1 or sigma_(n-1) to rotate to
+        return (letters, *_closing_times(letters, n))
     return best
 
 
@@ -350,11 +358,10 @@ def bracket(b: BraidWord, tables: Tables | None = None) -> LaurentPoly:
     bracket fails the check at A = 1 or at A = e^(i pi/3).
     """
     n = b.strands
-    width = slot_width(len(b.letters), n)
+    word, lefts, rights = _rotated(_cancel(b.letters, n), n)
+    width = slot_width(len(word), n)
     curl = 2 * width
     tables = Tables() if tables is None else tables
-    word = _rotated(_cancel(b.letters, n), n)
-    lefts, rights = _closing_times(word, n)
     # Strands no letter touches close before the first letter, each into
     # a loop of its own, and are counted at the end.
     left = right = 0  # strands closed at each end
@@ -501,12 +508,12 @@ def bracket(b: BraidWord, tables: Tables | None = None) -> LaurentPoly:
         )
         prev = loops
     packed *= _packed_delta_power(prev - 1, width)
-    result = _unpack(packed, low - 2 * (top - 1), width)
+    table = _unpack(packed, low - 2 * (top - 1), width)
 
     # coefficient sums by exponent mod 6, for the checks at A = 1 and at
     # A = zeta = e^(i pi/3), where zeta^2 = zeta - 1 and zeta^3 = -1
     sums = [0] * 6
-    for e, c in result.terms():
+    for e, c in table.items():
         sums[e % 6] += c
     w = b.writhe()
     expected = (-1) ** (w % 2) * (-2) ** (_cycle_count(b.permutation()) - 1)
@@ -525,4 +532,4 @@ def bracket(b: BraidWord, tables: Tables | None = None) -> LaurentPoly:
             f"transfer bracket at A = e^(i pi/3) is {x} {sign} {abs(y)} zeta, expected 1: "
             f"slots of {width} bits overflowed"
         )
-    return result
+    return LaurentPoly._raw(VAR_A, table)

@@ -4,8 +4,9 @@ Everything here recomputes package outputs from first principles with
 deliberately different plumbing: raw dicts for polynomials, a grid walk
 for DT codes, long division for the torus-knot formula, Bareiss
 elimination for determinants, a Fox coloring matrix for knot
-determinants, and gcds of minors for invariant factors.
-Nothing imports from twistlink.
+determinants, gcds of minors for invariant factors, and sorted terms
+through the public constructor for the Jones row.  Nothing imports from
+twistlink.
 """
 
 from __future__ import annotations
@@ -110,6 +111,35 @@ def jones_dict_in_t(strands: int, letters: tuple[int, ...]) -> dict:
     va = brute_jones(strands, letters)
     assert all(e % 4 == 0 for e in va), "closure is not a knot (half-integer span)"
     return {-e // 4: c for e, c in va.items()}
+
+
+def jones_row(name: str | None, bracket, w: int) -> str:
+    """The CLI row of V = (-A)^(-3w) * ``bracket``, built the long way.
+
+    Each of the writhe shift, the sign (-1)^w and the change to t = A^-4
+    (when every exponent is divisible by 4) reads the sorted ``terms()``
+    of the step before it and goes through the public constructor of the
+    bracket's own class, which is how this stays clear of any import.
+    The row then reads ``coefficient`` over the t span, or a dict of
+    half-powers k/2 of t (k = -e/2) for an A-tagged value.
+    """
+    poly = type(bracket)
+    v = poly(bracket.variable, {e - 3 * w: c for e, c in bracket.terms()})
+    if w % 2:
+        v = poly(v.variable, {e: -c for e, c in v.terms()})
+    if not any(e % 4 for e, _ in v.terms()):
+        v = poly("t", {-e // 4: c for e, c in v.terms()})
+    if v.variable == "t":
+        lo, hi = v.degree_span()
+        coeffs = [v.coefficient(e) for e in range(lo, hi + 1)]
+        span = f"({lo},{hi})"
+    else:
+        halves = {-e // 2: c for e, c in v.terms()}
+        lo, hi = min(halves), max(halves)
+        coeffs = [halves.get(k, 0) for k in range(lo, hi + 1, 2)]
+        span = f"({lo}/2,{hi}/2)"
+    row = f"span={span} coeffs=[{','.join(str(c) for c in coeffs)}]"
+    return f"{name} {row}" if name else row
 
 
 # ---------------------------------------------------------------------------

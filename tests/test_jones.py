@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistlink import statesum, transfer
@@ -23,7 +23,7 @@ from twistlink.braid import (
     free_reduce_cyclic,
 )
 from twistlink.cli import main
-from twistlink.diagram import PlanarDiagram, braid_closure
+from twistlink.diagram import PlanarDiagram, braid_closure, writhe
 from twistlink.jones import (
     LimitExceeded,
     RunTables,
@@ -40,6 +40,7 @@ from oracles import (
     brute_bracket,
     coloring_determinant,
     jones_dict_in_t,
+    jones_row,
     poly_mul,
     poly_pow,
     random_knot_braid,
@@ -298,16 +299,32 @@ def test_transfer_word_passes_are_linear():
     # 20,000 letters: cancelling and the closing schedule touch each letter
     # a bounded number of times, where a rescan per letter would take minutes
     b = parse_braid("4: " + " ".join(["1 3"] * 10000))
-    word = _timed(5, lambda: transfer._rotated(transfer._cancel(b.letters, 4), 4))
+    word, lefts, rights = _timed(5, lambda: transfer._rotated(transfer._cancel(b.letters, 4), 4))
     assert word == list(b.letters)  # both rotations cost the same
-    expected = ([19998, 19998, 19999], [19999] * 3)
-    assert _timed(5, lambda: transfer._closing_times(word, 4)) == expected
+    assert (lefts, rights) == ([19998, 19998, 19999], [19999] * 3)
     # a word followed by its inverse cancels from the middle out, and each
     # inverse pair of "1 3 -1 -3" across the letter between them
     unlink = jones_tl(parse_braid("4:"))
     for text in ("1 3 " * 5000 + "-3 -1 " * 5000, "1 3 -1 -3 " * 5000):
         assert transfer._cancel(parse_braid("4: " + text).letters, 4) == []
         assert _timed(10, lambda: jones_tl(parse_braid("4: " + text))) == unlink
+
+
+def test_transfer_sizes_slots_from_the_cancelled_word(monkeypatch, capsys):
+    # 34 letters, none next to its inverse, so the CLI sends the word to the
+    # transfer route unreduced; cancelling across the commuting letter
+    # leaves "2 2", and the slots are sized for those 2 letters
+    text = "4: " + "1 3 -1 -3 " * 8 + "2 2"
+    b = parse_braid(text)
+    assert len(b.letters) == 34 and transfer._cancel(b.letters, 4) == [2, 2]
+    widths = []
+    slot_width = transfer.slot_width
+    monkeypatch.setattr(
+        transfer, "slot_width", lambda c, n: widths.append(slot_width(c, n)) or widths[-1]
+    )
+    assert main(["jones", f"r={text}"]) == 0
+    assert capsys.readouterr().out == "r span=(-1/2,7/2) coeffs=[-1,-2,-2,-2,-1]\n"
+    assert widths == [7] and slot_width(34, 4) == 39
 
 
 def test_statesum_on_wide_short_words():
@@ -588,3 +605,35 @@ def test_transfer_closing_strands_matches_both_witnesses(b):
     expected = brute_bracket(b.strands, b.letters)
     assert as_dict(transfer.bracket(b)) == expected
     assert as_dict(statesum.bracket(braid_closure(b))) == expected
+
+
+@st.composite
+def row_braids(draw):
+    """Up to 12 letters on 1-7 strands, from a random set of generators, maybe mirrored.
+
+    Leaving generators out splits the word and leaves strands idle (free
+    loops), and the component count falls as it may, so even counts
+    (half-integer spans) come up as well as odd ones.
+    """
+    n = draw(st.integers(min_value=1, max_value=7))
+    letters = ()
+    if n > 1:
+        gens = draw(st.lists(st.integers(min_value=1, max_value=n - 1), min_size=1, unique=True))
+        letter = st.sampled_from(gens).flatmap(lambda j: st.sampled_from((j, -j)))
+        letters = tuple(draw(st.lists(letter, max_size=12)))
+    b = BraidWord(n, letters)
+    return mirror(b) if draw(st.booleans()) else b
+
+
+# rows of both routes are byte for byte those of the reference format
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(row_braids(), st.sampled_from((None, "k")))
+@example(BraidWord(2, (1, 1)), "hopf")  # two components: half-integer span
+@example(BraidWord(4, (1, 1, 3, 3)), None)  # two split Hopf links
+@example(BraidWord(5, (-2, -2)), "loops")  # three idle strands
+def test_rows_match_the_reference_format(b, name):
+    d = braid_closure(b)
+    row = jones_row(name, kauffman_bracket(d), writhe(d))
+    assert format_jones_row(name, jones(d)) == row
+    assert jones_row(name, transfer.bracket(b), b.writhe()) == row
+    assert format_jones_row(name, jones_tl(b)) == row

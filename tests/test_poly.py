@@ -1,12 +1,9 @@
-import re
-from fractions import Fraction
-
 import pytest
 
 from oracles import poly_mul, poly_pow
 from twistlink import statesum
 from twistlink.poly import VAR_A, VAR_T, LaurentPoly
-from twistlink.surgery import INF, format_slope, is_integral, parse_slope
+
 
 def test_constructor_drops_zero_coefficients():
     p = LaurentPoly(VAR_A, {3: 0, 1: 2})
@@ -60,42 +57,3 @@ def test_delta_power_matches_repeated_product():
         delta_k = poly_pow({2: -1, -2: -1}, k)
         assert statesum._times_delta_power({0: 1}, k) == delta_k, k
         assert statesum._times_delta_power(bracket, k) == poly_mul(bracket, delta_k), k
-
-
-# -- slopes (twistlink.surgery) --------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "text,num,den",
-    [("2/7", 2, 7), ("-1/2", -1, 2), ("4", 4, 1), ("0", 0, 1), ("6/4", 3, 2), ("3/-4", -3, 4)],
-)
-def test_parse_slope_rationals(text, num, den):
-    s = parse_slope(text)
-    assert type(s) is Fraction and (s.numerator, s.denominator) == (num, den)
-
-
-def test_parse_slope_inf_round_trip():
-    assert parse_slope("inf") is INF
-    assert format_slope(INF) == "inf"
-    assert not is_integral(INF)
-    assert is_integral(parse_slope("3"))
-    assert not is_integral(parse_slope("3/2"))
-    assert not is_integral(3) and not is_integral(1.0)
-
-
-def test_parse_slope_rejects_garbage():
-    for bad in ("", "x", "1/0", "2/", "1.5"):
-        with pytest.raises(ValueError, match=re.escape(f"bad rational '{bad}': ")):
-            parse_slope(bad)
-
-
-def test_format_slope_round_trip():
-    for text in ("2/7", "-1/2", "4", "0", "inf", "-5"):
-        assert format_slope(parse_slope(text)) == text
-
-
-def test_format_slope_rejects_non_slopes():
-    for bad in (0.5, 1.5, 3, True, None, "1/2"):
-        message = f"slope must be a Fraction or INF, got {bad!r}"
-        with pytest.raises(TypeError, match=re.escape(message)):
-            format_slope(bad)

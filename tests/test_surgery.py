@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 import typing
 from fractions import Fraction
 
@@ -21,11 +22,14 @@ from twistlink.surgery import (
     blow_up,
     cfrac_eval,
     cfrac_expand,
+    format_slope,
     h1,
     handle_slide,
+    is_integral,
     kirby_reduce,
     parse_presentation,
     parse_script,
+    parse_slope,
     presentation,
     rational_to_chain,
     render_presentation,
@@ -343,6 +347,45 @@ def test_handle_slide_errors():
         handle_slide(q, "i", "i", 1)
     with pytest.raises(ValueError, match="sign"):
         handle_slide(q, "i", "j", 2)
+
+
+# -- slopes -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text,num,den",
+    [("2/7", 2, 7), ("-1/2", -1, 2), ("4", 4, 1), ("0", 0, 1), ("6/4", 3, 2), ("3/-4", -3, 4)],
+)
+def test_parse_slope_rationals(text, num, den):
+    s = parse_slope(text)
+    assert type(s) is Fraction and (s.numerator, s.denominator) == (num, den)
+
+
+def test_parse_slope_inf_round_trip():
+    assert parse_slope("inf") is INF
+    assert format_slope(INF) == "inf"
+    assert not is_integral(INF)
+    assert is_integral(parse_slope("3"))
+    assert not is_integral(parse_slope("3/2"))
+    assert not is_integral(3) and not is_integral(1.0)
+
+
+def test_parse_slope_rejects_garbage():
+    for bad in ("", "x", "1/0", "2/", "1.5"):
+        with pytest.raises(ValueError, match=re.escape(f"bad rational '{bad}': ")):
+            parse_slope(bad)
+
+
+def test_format_slope_round_trip():
+    for text in ("2/7", "-1/2", "4", "0", "inf", "-5"):
+        assert format_slope(parse_slope(text)) == text
+
+
+def test_format_slope_rejects_non_slopes():
+    for bad in (0.5, 1.5, 3, True, None, "1/2"):
+        message = f"slope must be a Fraction or INF, got {bad!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            format_slope(bad)
 
 
 # -- continued fractions ----------------------------------------------------
