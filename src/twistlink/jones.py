@@ -6,9 +6,10 @@ state of the diagram is weighted A^(a-b) * delta^(loops-1), delta =
 crossing at a time, each loop entering as a factor delta when it
 closes.  Route two (``twistlink.transfer``) represents braid
 letters in the Temperley-Lieb algebra (sigma_i -> A + A^-1 e_i) and
-closes with the Markov trace.  The two modules share no skein logic, so
-exact agreement between them is a meaningful check; the test suite
-enforces it.
+closes with the Markov trace.  The two modules share no skein logic,
+only ``poly``'s codec for their packed brackets and the guard that
+checks each decoded bracket, so exact agreement between them is a
+meaningful check; the test suite enforces it.
 
 Both are normalized to bracket(unknot) = 1, giving V(unknot) = 1 after
 the writhe correction V = (-A)^(-3w) * bracket.  Results carry variable
@@ -139,7 +140,9 @@ def format_jones_row(name: str | None, v: LaurentPoly) -> str:
     A t-tagged value spans integer powers.  An A-tagged value (even
     component count, so every exponent is even) spans half-integer
     powers of t, written k/2, with the coefficient list stepping by
-    whole powers of t.
+    whole powers of t.  Raises ValueError on the zero polynomial and on
+    an A-tagged value whose exponents are not all even and equal mod 4,
+    which such a row cannot show.
     """
     table = v._coeffs
     if not table:
@@ -149,7 +152,10 @@ def format_jones_row(name: str | None, v: LaurentPoly) -> str:
         coeffs = [table.get(e, 0) for e in range(lo, hi + 1)]
         span = f"({lo},{hi})"
     else:
-        # t^(k/2) = A^(-2k): the half-powers run from -hi/2 to -lo/2
+        # t^(k/2) = A^(-2k): the half-powers run from -hi/2 to -lo/2, and
+        # they step by whole powers of t only if the exponents do by 4
+        if lo % 2 or any((e - lo) % 4 for e in table):
+            raise ValueError("an A-tagged row needs even exponents that agree mod 4")
         coeffs = [table.get(e, 0) for e in range(hi, lo - 1, -4)]
         span = f"({-hi // 2}/2,{-lo // 2}/2)"
     body = ",".join(map(str, coeffs))

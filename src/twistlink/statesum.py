@@ -49,11 +49,11 @@ a T(9,10) call leaves about 8 MB in them, and T(10,11) about 33 MB
 
 Values.  The value of a key is one Python int whose signed slots of
 ``width`` bits hold the coefficients of a polynomial in A, one A^2
-apart; the whole frontier shares the exponent ``low`` of slot 0.  Each
-loop is folded in as a factor delta = -A^-2 (1 + A^4) when it closes.
-When no arc is left open after a crossing, the glued crossings form
-whole pieces of the diagram, in any order, and in every state the last
-join closes a loop; that loop is not counted, and the bracket is the
+apart, the format ``poly.unpack`` decodes; the whole frontier shares
+the exponent ``low`` of slot 0.  Each loop is folded in as a factor
+delta = -A^-2 (1 + A^4) when it closes.  When no arc is left open
+after a crossing, the glued crossings form whole pieces of the diagram,
+in any order, and in every state the last join closes a loop; that loop is not counted, and the bracket is the
 result times delta^(free loops + pieces - 1), whose binomials are built
 each from the one before.  A join with an arc that opens at the crossing
 leaves that arc's far end open, so only joins of arcs that are open
@@ -75,16 +75,9 @@ delta^L add up to 2^L in absolute value, so the measure grows by at most
 each crossing whatever was glued before it, so in any order every
 coefficient, intermediate or final, is at most the product ``growth`` of
 these factors (at most 8^c), which ``slot_width`` holds with a sign bit.
-The runtime guards test only the decoded bracket, against values every
-link has, so they too hold in any order.  The bracket at A = 1 must
-equal (-1)^w (-2)^(mu-1), with w the writhe and mu the number of
-components, because the Jones polynomial at t = 1 is (-2)^(mu-1); and at
-A = zeta = e^(i pi/3), where -A^3 = 1 and delta = 1, it must equal 1,
-because V(e^(2 pi i/3)) = 1 for every link (Jones, Bull. AMS 12, 1985).
-The second check reduces each exponent mod 6 and uses zeta^2 = zeta - 1,
-so it is exact in integers; it catches wrong decodes whose value at
-A = 1 is still right.  ``bracket`` raises RuntimeError if either check
-fails.
+The guards of ``poly.check_bracket`` test only the decoded bracket,
+against values every link has, so they too hold in any order;
+``bracket`` raises RuntimeError if either fails.
 
 This module shares no skein code with the Temperley-Lieb route.
 """
@@ -95,8 +88,8 @@ import threading
 from functools import reduce
 from operator import or_
 
-from .diagram import PlanarDiagram
-from .poly import VAR_A, LaurentPoly
+from .diagram import PlanarDiagram, writhe
+from .poly import LaurentPoly, check_bracket, unpack
 
 
 def slot_width(growth: int) -> int:
@@ -298,44 +291,6 @@ def _contract(d: PlanarDiagram, tables: Tables) -> tuple[int, int, int, int]:
     return states.get(0, 0), low, width, pieces
 
 
-# a run of at most this many slots is decoded one slot at a time; a
-# longer one is cut in halves first
-_LEAF_SLOTS = 32
-
-
-def _decode(packed: int, low: int, width: int) -> dict[int, int]:
-    """Nonzero signed slots of ``packed`` by exponent, one A^2 apart from A^low.
-
-    Adding half = 2^(width-1) to every slot makes each slot a field in
-    [0, 2^width) that borrows from no other, so the int can be cut in
-    halves that decode alone: the work is near linear in the int's size,
-    where taking the slots off the whole int one at a time is quadratic.
-    Two slots above the top bit absorb a negative top slot.
-    """
-    table: dict[int, int] = {}
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-
-    def cut(x: int, count: int, e: int) -> None:
-        if count > _LEAF_SLOTS:
-            mid = count // 2
-            bits = mid * width
-            cut(x & ((1 << bits) - 1), mid, e)
-            cut(x >> bits, count - mid, e + 2 * mid)
-            return
-        for i in range(count):
-            coef = (x & mask) - half
-            if coef:
-                table[e + 2 * i] = coef
-            x >>= width
-
-    if packed:
-        count = packed.bit_length() // width + 2
-        # half * (1 + 2^width + ... + 2^((count-1) width)) puts half in every slot
-        cut(packed + half * (((1 << count * width) - 1) // mask), count, low)
-    return table
-
-
 def _times_delta_power(table: dict[int, int], k: int) -> dict[int, int]:
     """``table`` times delta^k, without its zero coefficients.
 
@@ -365,32 +320,8 @@ def bracket(d: PlanarDiagram, tables: Tables | None = None) -> LaurentPoly:
         tables = Tables()
     with tables.lock:
         packed, low, width, pieces = _contract(d, tables)
-    table = _decode(packed, low, width)
+    table = unpack(packed, low, width)
     extra = len(d.free_loops) + pieces - 1
     if extra:
         table = _times_delta_power(table, extra)
-    result = LaurentPoly._raw(VAR_A, table)
-
-    # coefficient sums by exponent mod 6, for the checks at A = 1 and at
-    # A = zeta = e^(i pi/3), where zeta^2 = zeta - 1 and zeta^3 = -1
-    sums = [0] * 6
-    for e, coef in table.items():
-        sums[e % 6] += coef
-    w = sum(cr.sign for cr in d.crossings)
-    expected = (-1) ** (w % 2) * (-2) ** (len(d.components) - 1)
-    at_one = sum(sums)
-    if at_one != expected:
-        raise RuntimeError(
-            f"state-sum bracket at A = 1 is {at_one}, expected {expected}: "
-            f"slots of {width} bits overflowed"
-        )
-    # -zeta^3 = 1 and V(e^(2 pi i/3)) = 1, so every bracket is 1 at zeta
-    x = sums[0] - sums[2] - sums[3] + sums[5]
-    y = sums[1] + sums[2] - sums[4] - sums[5]
-    if (x, y) != (1, 0):
-        sign = "-" if y < 0 else "+"
-        raise RuntimeError(
-            f"state-sum bracket at A = e^(i pi/3) is {x} {sign} {abs(y)} zeta, expected 1: "
-            f"slots of {width} bits overflowed"
-        )
-    return result
+    return check_bracket(table, writhe(d), len(d.components), width, "state-sum")

@@ -33,8 +33,9 @@ Coefficients are packed by Kronecker substitution (von zur Gathen &
 Gerhard, *Modern Computer Algebra*, ch. 8).  Every exponent in the
 vector has the parity of the letters read so far, so each entry is one
 Python int whose signed slots of ``width`` bits hold the coefficients of
-A^low, A^(low+2), A^(low+4), ..., and the whole vector shares the running
-exponent ``low``.  A letter g > 0 lowers ``low`` by 3: the identity term
+A^low, A^(low+2), A^(low+4), ..., the format of ``poly.pack`` and
+``poly.unpack``, and the whole vector shares the running exponent
+``low``.  A letter g > 0 lowers ``low`` by 3: the identity term
 A * v is then ``v << 2 * width`` and the e_j term A^-1 * v is
 ``v << width``.  A letter g < 0 lowers ``low`` by 1: the identity term
 A^-1 * v is ``v`` and the e_j term A * v is again ``v << width``.  When
@@ -56,18 +57,11 @@ every coefficient of the bracket of a c-letter word on n strands is at
 most 2^(c+n-1) in absolute value.  The bound is on the word that is
 read, so c counts the letters left after cancelling, and ``slot_width``
 of that word holds it with a sign bit: "4: 1 3 -1 -3 ... 2 2", 34
-letters that cancel to 2, gets 7-bit slots, not 39.  As runtime
-guards, the decoded bracket at A = 1 must equal (-1)^w * (-2)^(mu-1),
-with w the exponent sum and mu the number of cycles of the strand
-permutation, because the Jones polynomial at t = 1 is (-2)^(mu-1); and
-at A = zeta = e^(i pi/3), where -A^3 = 1 and delta = 1, it must equal
-1, because V(e^(2 pi i/3)) = 1 for every link (Jones, Bull. AMS 12,
-1985).  The second check is
-exact in integers: reduce each exponent mod 6, use zeta^2 = zeta - 1,
-and compare x + y zeta with 1; it catches wrong decodes whose value at
-A = 1 is still right.  Both take w and mu from the input word, whose
-closure is the link the call computes.  ``bracket`` raises RuntimeError
-if either check fails.
+letters that cancel to 2, gets 7-bit slots, not 39.  The guards of
+``poly.check_bracket`` take the writhe w and the number of components
+mu, the number of cycles of the strand permutation, from the input word,
+whose closure is the link the call computes; ``bracket`` raises
+RuntimeError if either fails.
 
 The vector is a list indexed by matching id, and matchings get ids in
 the order they are first reached.  Every image of e_j is a matching in
@@ -111,7 +105,7 @@ from itertools import accumulate
 from operator import or_
 
 from .braid import BraidWord
-from .poly import VAR_A, LaurentPoly
+from .poly import LaurentPoly, check_bracket, pack, unpack
 
 
 def identity_matching(n: int) -> tuple[int, ...]:
@@ -172,36 +166,6 @@ def slot_width(crossings: int, strands: int) -> int:
     return crossings + strands + 1
 
 
-# a run of at most this many fields is joined or split one field at a
-# time; past it, halving keeps the work near linear in the int's size
-_LEAF_FIELDS = 32
-
-
-def _join(fields: list[int], width: int) -> int:
-    """sum(fields[i] << i * width), the polynomial with these coefficients at 2^width."""
-    if len(fields) > _LEAF_FIELDS:
-        mid = len(fields) // 2
-        return _join(fields[:mid], width) + (_join(fields[mid:], width) << mid * width)
-    x = 0
-    for f in reversed(fields):
-        x = (x << width) + f
-    return x
-
-
-def _split(x: int, count: int, width: int) -> list[int]:
-    """The lowest ``count`` fields of ``width`` bits of x >= 0, lowest first."""
-    if count > _LEAF_FIELDS:
-        mid = count // 2
-        bits = mid * width
-        return _split(x & ((1 << bits) - 1), mid, width) + _split(x >> bits, count - mid, width)
-    mask = (1 << width) - 1
-    fields = []
-    for _ in range(count):
-        fields.append(x & mask)
-        x >>= width
-    return fields
-
-
 def _packed_delta_power(k: int, width: int) -> int:
     """delta^k in slots one A^2 apart, starting at A^(-2k).
 
@@ -211,21 +175,8 @@ def _packed_delta_power(k: int, width: int) -> int:
     binomials = [1]
     for j in range(k):
         binomials.append(binomials[-1] * (k - j) // (j + 1))
-    packed = _join(binomials, 2 * width)
+    packed = pack(binomials, 2 * width)
     return -packed if k % 2 else packed
-
-
-def _unpack(packed: int, low: int, width: int) -> dict[int, int]:
-    """Decode signed slots one A^2 apart, the first at A^low, into exponent -> coefficient.
-
-    Adding ``half`` to every slot makes each slot a field in [0, 2^width)
-    that borrows from no other, so the fields split apart independently.
-    Two slots above the top bit are enough to absorb a negative top slot.
-    """
-    half = 1 << (width - 1)
-    count = packed.bit_length() // width + 2
-    fields = _split(packed + _join([half] * count, width), count, width)
-    return {low + 2 * i: c - half for i, c in enumerate(fields) if c != half}
 
 
 def _cycle_count(perm: list[int]) -> int:
@@ -508,28 +459,5 @@ def bracket(b: BraidWord, tables: Tables | None = None) -> LaurentPoly:
         )
         prev = loops
     packed *= _packed_delta_power(prev - 1, width)
-    table = _unpack(packed, low - 2 * (top - 1), width)
-
-    # coefficient sums by exponent mod 6, for the checks at A = 1 and at
-    # A = zeta = e^(i pi/3), where zeta^2 = zeta - 1 and zeta^3 = -1
-    sums = [0] * 6
-    for e, c in table.items():
-        sums[e % 6] += c
-    w = b.writhe()
-    expected = (-1) ** (w % 2) * (-2) ** (_cycle_count(b.permutation()) - 1)
-    at_one = sum(sums)
-    if at_one != expected:
-        raise RuntimeError(
-            f"transfer bracket at A = 1 is {at_one}, expected {expected}: "
-            f"slots of {width} bits overflowed"
-        )
-    # -zeta^3 = 1 and V(e^(2 pi i/3)) = 1, so every bracket is 1 at zeta
-    x = sums[0] - sums[2] - sums[3] + sums[5]
-    y = sums[1] + sums[2] - sums[4] - sums[5]
-    if (x, y) != (1, 0):
-        sign = "-" if y < 0 else "+"
-        raise RuntimeError(
-            f"transfer bracket at A = e^(i pi/3) is {x} {sign} {abs(y)} zeta, expected 1: "
-            f"slots of {width} bits overflowed"
-        )
-    return LaurentPoly._raw(VAR_A, table)
+    table = unpack(packed, low - 2 * (top - 1), width)
+    return check_bracket(table, b.writhe(), _cycle_count(b.permutation()), width, "transfer")

@@ -98,6 +98,15 @@ def test_jones_row_without_name():
     assert format_jones_row(None, jones_of("2: 1 1 1")) == "span=(1,4) coeffs=[1,0,1,-1]"
 
 
+def test_jones_row_rejects_a_values_it_cannot_show():
+    # a half-integer row steps by whole powers of t, A^-4: odd exponents,
+    # or even ones that differ by 2 mod 4, would drop terms
+    for bad in ({1: 1, 3: 1}, {2: 1, 4: 1}):
+        with pytest.raises(ValueError, match="^an A-tagged row needs even exponents"):
+            format_jones_row(None, LaurentPoly(VAR_A, bad))
+    assert format_jones_row(None, LaurentPoly(VAR_A, {0: 1, 4: 1})) == "span=(-2/2,0/2) coeffs=[1,1]"
+
+
 def test_determinant_values():
     assert determinant(jones_of("2: 1 1 1")) == 3
     assert determinant(jones_of("3: 1 -2 1 -2")) == 5
