@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
+from operator import add
 from typing import Union
 
 
@@ -35,6 +36,8 @@ class BraidWord(namedtuple("BraidWord", "strands letters")):
     __slots__ = ()
 
     def __new__(cls, strands: int, letters: tuple[int, ...] = ()):
+        if not isinstance(strands, int) or isinstance(strands, bool):
+            raise ValueError(f"strand count must be an integer, got {strands!r}")
         if strands < 1:
             raise ValueError(f"strand count must be >= 1, got {strands}")
         letters = tuple(letters)
@@ -120,10 +123,16 @@ def free_reduce_cyclic(letters: tuple[int, ...]) -> tuple[int, ...]:
     """Cancel adjacent inverse letters, treating the word as a cycle.
 
     The closure identifies the end of the word with its start, so a
-    trailing g and leading -g also cancel.  One pass with a stack leaves
-    no adjacent inverse pair, and trimming cancelling ends off the result
-    cannot make one, so the ends are trimmed once, with two indices.
+    trailing g and leading -g also cancel.  A word with nothing to cancel
+    comes back as itself, the same tuple, after one scan for a pair that
+    sums to zero.  Otherwise one pass with a stack leaves no adjacent
+    inverse pair, and trimming cancelling ends off the result cannot make
+    one, so the ends are trimmed once, with two indices.
     """
+    letters = tuple(letters)
+    ends_cancel = len(letters) > 1 and letters[0] == -letters[-1]
+    if not ends_cancel and 0 not in map(add, letters, letters[1:]):
+        return letters
     out: list[int] = []
     for g in letters:
         if out and out[-1] == -g:

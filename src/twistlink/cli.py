@@ -123,9 +123,11 @@ def _read_items(raw: list[str]) -> list[tuple[str | None, str]]:
 def _jones_of_text(text: str, cfg: RunConfig):
     # route on the crossing count after cyclic free reduction, the count
     # the closure has; both routes take the reduced word, and only the
-    # state sum needs the closure itself
+    # state sum needs the closure itself.  A word with nothing to cancel
+    # is reduced already, and the checked word is used as it is.
     b = parse_braid(text)
-    reduced = BraidWord(b.strands, free_reduce_cyclic(b.letters))
+    letters = free_reduce_cyclic(b.letters)
+    reduced = b if letters is b.letters else BraidWord(b.strands, letters)
     if cfg.oracle or len(reduced) <= cfg.statesum_limit:
         return jones(braid_closure(reduced), limit=len(reduced), tables=cfg.tables)
     return jones_tl(reduced, limit=cfg.tl_limit, tables=cfg.tables)

@@ -4,11 +4,17 @@ Diagrams are built only from braid words (every knot in scope arrives as a
 braid), so planarity is guaranteed by construction and never validated.
 The only simplification applied is free reduction of adjacent inverse
 letters, including across the closure seam, before the diagram is built;
-crossing counts are otherwise those of the word.
+crossing counts are otherwise those of the word.  A word with nothing to
+cancel, such as one the caller has reduced already, comes back from the
+reduction as itself, so reducing it again costs one scan.
 
 Arc identifiers are dense integers.  Arcs 0..n-1 are the closure arcs at
 strand positions 1..n; a position never touched by a crossing keeps its
 closure arc as a crossing-free loop.
+
+Each ``Crossing`` is built as ``tuple.__new__`` builds it, with no call
+to the record's own constructor, in the one pass over the letters that
+also numbers the arcs and links each arc to the next.
 """
 
 from __future__ import annotations
@@ -43,38 +49,47 @@ def braid_closure(b: BraidWord) -> PlanarDiagram:
     """Standard closure of ``b`` after cyclic free reduction."""
     letters = free_reduce_cyclic(b.letters)
     n = b.strands
-    # crossing t leaves arcs n + 2t and n + 2t + 1 until the renumbering
+    # last[i]: the index of the last letter at position i, -1 if none
+    last = [-1] * n
+    for t, g in enumerate(letters):
+        if g < 0:
+            g = -g
+        last[g - 1] = last[g] = t
+
+    # closure arc i enters the first crossing at position i and leaves the
+    # last one; every other arc is numbered from n as its crossing makes it.
+    # An arc ends where a crossing consumes it, and a free loop is its own
+    # successor.
     current = list(range(n))
-    raw = []
-    nxt = n
-    for g in letters:
-        j = abs(g) - 1
-        raw.append((1 if g > 0 else -1, current[j], current[j + 1], nxt, nxt + 1))
-        current[j], current[j + 1] = nxt, nxt + 1
-        nxt += 2
-
-    # closure: closure arc i replaces the last arc at position i, and every
-    # other arc keeps its order
-    renum = list(range(n)) + [-1] * (nxt - n)
-    for i, a in enumerate(current):
-        renum[a] = i
+    succ = list(range(n))
+    make = tuple.__new__
+    crossings = []
     arcs = n
-    for a in range(n, nxt):
-        if renum[a] < 0:
-            renum[a] = arcs
+    for t, g in enumerate(letters):
+        if g > 0:
+            sign, j, k = 1, g - 1, g
+        else:
+            sign, j, k = -1, -g - 1, -g
+        il = current[j]
+        ir = current[k]
+        if last[j] == t:
+            ol = j
+        else:
+            ol = current[j] = arcs
             arcs += 1
-    crossings = tuple(
-        Crossing(sign, renum[il], renum[ir], renum[ol], renum[orr])
-        for sign, il, ir, ol, orr in raw
-    )
-    free = tuple(i for i in range(n) if current[i] == i)
-
-    # thread continuation: an arc ends where a crossing consumes it, and a
-    # free loop is its own successor; each component starts at its least arc
-    succ = list(range(arcs))
-    for _, il, ir, ol, orr in crossings:
+            succ.append(-1)
+        if last[k] == t:
+            orr = k
+        else:
+            orr = current[k] = arcs
+            arcs += 1
+            succ.append(-1)
         succ[il] = orr
         succ[ir] = ol
+        crossings.append(make(Crossing, (sign, il, ir, ol, orr)))
+    free = tuple([i for i in range(n) if last[i] < 0])
+
+    # each component starts at its least arc
     seen = [False] * arcs
     comps = []
     for a in range(arcs):
@@ -87,11 +102,11 @@ def braid_closure(b: BraidWord) -> PlanarDiagram:
             cycle.append(x)
             x = succ[x]
         comps.append(tuple(cycle))
-    return PlanarDiagram(crossings, free, tuple(comps))
+    return PlanarDiagram(tuple(crossings), free, tuple(comps))
 
 
 def writhe(d: PlanarDiagram) -> int:
-    return sum(c.sign for c in d.crossings)
+    return sum([c[0] for c in d.crossings])
 
 
 class DTCode(namedtuple("DTCode", "pairs")):

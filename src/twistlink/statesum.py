@@ -114,11 +114,12 @@ def _gluing_order(arcs: list[tuple[int, int, int, int]]) -> list[int]:
     f = word_peak = 0
     for t, quad in enumerate(arcs):
         for a in quad:
-            if ends[a] < 0:
+            e = ends[a]
+            if e < 0:
                 ends[a] = t
                 f += 1
             else:
-                ends[a] += t
+                ends[a] = e + t
                 f -= 1
         if f > word_peak:
             word_peak = f
@@ -129,10 +130,11 @@ def _gluing_order(arcs: list[tuple[int, int, int, int]]) -> list[int]:
     order = []
     f = top = 0
     for _ in range(c):
+        bucket = buckets[top]
         while True:
-            bucket = buckets[top]
             if not bucket:
                 top -= 1
+                bucket = buckets[top]
                 continue
             t = bucket.pop()
             if count[t] == top and not done[t]:  # else a stale entry
@@ -206,7 +208,8 @@ def _contract(d: PlanarDiagram, tables: Tables) -> tuple[int, int, int, int]:
     """Packed bracket before the delta power, with its ``low``, slot width and pieces."""
     keys, ids, shapes = tables.keys, tables.ids, tables.shapes
     crossings = d.crossings
-    arcs = [(il, ir, ol, orr) for _, il, ir, ol, orr in crossings]
+    # a record is (sign, in_left, in_right, out_left, out_right)
+    arcs = [c[1:] for c in crossings]
     plan = []
     frontier: list[int] = []
     growth = 1
@@ -218,7 +221,7 @@ def _contract(d: PlanarDiagram, tables: Tables) -> tuple[int, int, int, int]:
         entry = shapes.get((f, labels))
         if entry is None:
             entry = shapes[f, labels] = _shape(f, labels)
-        plan.append((f, crossings[t].sign > 0, entry))
+        plan.append((f, crossings[t][0] > 0, entry))
         kept = entry[2]
         frontier = [frontier[i] if i < f else quad[i - f] for i in kept]
         growth *= entry[4]

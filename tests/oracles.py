@@ -5,8 +5,10 @@ deliberately different plumbing: raw dicts for polynomials, a grid walk
 for DT codes, long division for the torus-knot formula, Bareiss
 elimination for determinants, a Fox coloring matrix for knot
 determinants, gcds of minors for invariant factors, and sorted terms
-through the public constructor for the Jones row.  Nothing imports from
-twistlink.
+through the public constructor for the Jones row.  Two are earlier
+versions of package functions kept as references for faster rewrites:
+the stack-only cyclic free reduction and the state sum's gluing order.
+Nothing imports from twistlink.
 """
 
 from __future__ import annotations
@@ -263,6 +265,79 @@ def invariant_factors(rows: list[list[int]]) -> list[int]:
         factors.append(divisor // prev)
         prev = divisor
     return factors
+
+
+# ---------------------------------------------------------------------------
+# Reference versions of the cyclic free reduction and the gluing order
+
+
+def free_reduce_cyclic(letters) -> tuple:
+    """Cancel adjacent inverse letters, the closure seam included, by a stack pass."""
+    out: list[int] = []
+    for g in letters:
+        if out and out[-1] == -g:
+            out.pop()
+        else:
+            out.append(g)
+    start, end = 0, len(out)
+    while end - start >= 2 and out[start] == -out[end - 1]:
+        start += 1
+        end -= 1
+    return tuple(out[start:end])
+
+
+def gluing_order(arcs: list[tuple[int, int, int, int]]) -> list[int]:
+    """Crossing indices in the state sum's gluing order, from each crossing's arcs.
+
+    Word order unless a bucket queue, gluing next the unglued crossing
+    that touches the most open arcs (the one bumped last on ties), keeps
+    its frontier strictly below word order's peak throughout.
+    """
+    c = len(arcs)
+    ends = [-1] * (1 + max(map(max, arcs), default=-1))
+    f = word_peak = 0
+    for t, quad in enumerate(arcs):
+        for a in quad:
+            if ends[a] < 0:
+                ends[a] = t
+                f += 1
+            else:
+                ends[a] += t
+                f -= 1
+        if f > word_peak:
+            word_peak = f
+
+    count = [0] * c
+    buckets: list[list[int]] = [list(range(c - 1, -1, -1)), [], [], [], []]
+    done = bytearray(c)
+    order = []
+    f = top = 0
+    for _ in range(c):
+        while True:
+            bucket = buckets[top]
+            if not bucket:
+                top -= 1
+                continue
+            t = bucket.pop()
+            if count[t] == top and not done[t]:
+                break
+        done[t] = 1
+        order.append(t)
+        for a in arcs[t]:
+            u = ends[a] - t
+            if u == t:
+                continue
+            if done[u]:
+                f -= 1
+            else:
+                f += 1
+                k = count[u] = count[u] + 1
+                buckets[k].append(u)
+                if k > top:
+                    top = k
+        if f >= word_peak:
+            return list(range(c))
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistlink.braid import (
@@ -25,6 +25,8 @@ from twistlink.braid import (
     ttk_braid,
 )
 from twistlink.surgery import INF, blow_down_axis
+
+import oracles
 
 letters_st = st.lists(
     st.integers(min_value=-3, max_value=3).filter(lambda g: g != 0), max_size=14
@@ -48,6 +50,13 @@ def test_braid_word_is_not_reversible():
         reversed(b)
     assert len(b) == 3
     assert list(b) == [2, (1, 1, 1)]
+
+
+def test_braid_word_rejects_strand_counts_that_do_not_render_back():
+    # 2.0 would render as "2.0:" and True as "True:", which parse_braid rejects
+    for strands in (2.0, True, "2", None):
+        with pytest.raises(ValueError, match="strand count must be an integer"):
+            BraidWord(strands)
 
 
 def test_braid_word_rejects_bool_letters():
@@ -104,6 +113,41 @@ def test_free_reduce_cyclic_wraps_around():
 def test_free_reduce_cyclic_idempotent(letters):
     once = free_reduce_cyclic(letters)
     assert free_reduce_cyclic(once) == once
+
+
+@st.composite
+def reducible_words(draw):
+    """A word with nothing to cancel, maybe with cancelling pairs put in and conjugated."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    letter = st.integers(min_value=1, max_value=n - 1).flatmap(lambda j: st.sampled_from((j, -j)))
+    word: list[int] = []
+    for g in draw(st.lists(letter, max_size=14)):
+        if not word or word[-1] != -g:
+            word.append(g)
+    while len(word) > 1 and word[0] == -word[-1]:
+        word.pop()
+    places = st.integers(min_value=0, max_value=20)
+    for g, at in draw(st.lists(st.tuples(letter, places), max_size=3)):
+        at %= len(word) + 1
+        word[at:at] = [g, -g]
+    for g in draw(st.lists(letter, max_size=3)):
+        word = [g, *word, -g]
+    return tuple(word)
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(reducible_words())
+@example(())
+@example((2,))
+@example((1, 2, 1, -2))  # nothing to cancel
+@example((1, -2, 2, 1))  # a pair inside
+@example((2, 1, 1, -2))  # a pair at the seam
+def test_free_reduce_cyclic_matches_the_stack_pass(word):
+    reduced = free_reduce_cyclic(word)
+    expected = oracles.free_reduce_cyclic(word)
+    assert reduced == expected
+    if expected == word:  # nothing cancels: the same tuple comes back
+        assert reduced is word
 
 
 def _naive_free_reduce_cyclic(letters):

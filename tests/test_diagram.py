@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from twistlink.braid import BraidWord, free_reduce_cyclic, parse_braid, torus_braid
 from twistlink.diagram import (
+    Crossing,
     DTCode,
     braid_closure,
     dt_code,
@@ -54,6 +55,17 @@ def test_components_partition_the_arcs():
         arcs = sorted(a for comp in d.components for a in comp)
         ends = {a for c in d.crossings for a in (c.in_left, c.in_right, c.out_left, c.out_right)}
         assert arcs == sorted(ends | set(d.free_loops)) == list(range(len(arcs)))
+
+
+def test_closure_records_are_exact_crossings():
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        size = rng.randint(0, 16) if n > 1 else 0
+        letters = tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(size))
+        for c in braid_closure(BraidWord(n, letters)).crossings:
+            assert type(c) is Crossing and c == Crossing(*c), (n, letters, c)
+            assert (c.sign, c.in_left, c.in_right, c.out_left, c.out_right) == c
 
 
 def test_dt_code_frozen_examples():

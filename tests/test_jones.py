@@ -39,6 +39,7 @@ from twistlink.poly import VAR_A, VAR_T, LaurentPoly
 from oracles import (
     brute_bracket,
     coloring_determinant,
+    gluing_order,
     jones_dict_in_t,
     jones_row,
     poly_mul,
@@ -572,6 +573,18 @@ def shuffled_diagrams(draw):
 def test_gluing_order_does_not_change_the_bracket(case):
     b, shuffled = case
     assert statesum.bracket(shuffled) == transfer.bracket(b)
+
+
+# both orders come up: about two thirds of these permuted closures take
+# the queue's, and so do wide, short ones such as T(12,3) and T(11,4)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(shuffled_diagrams())
+@example((torus_braid(12, 3), braid_closure(torus_braid(12, 3))))
+@example((torus_braid(11, 4), braid_closure(torus_braid(11, 4))))
+def test_gluing_order_matches_the_reference(case):
+    _, d = case
+    arcs = [c[1:] for c in d.crossings]
+    assert statesum._gluing_order(arcs) == gluing_order(arcs)
 
 
 def _closing_word(pick):
