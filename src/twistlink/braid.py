@@ -25,13 +25,20 @@ from operator import add
 from typing import Union
 
 
-class BraidWord(namedtuple("BraidWord", "strands letters")):
-    """A braid word: ``strands`` and its ``letters``, checked when built.
+def checked_record(typename: str, field_names: str) -> type:
+    """The named-tuple base of a record with its own ``__new__``.
 
-    Like every validated record of the package, it is a named tuple whose
-    ``__new__`` runs the checks; ``_make``, and so ``_replace``, goes
-    through ``__new__`` too.
+    The base's ``_make``, and so ``_replace``, builds through that
+    ``__new__``: a changed copy is checked, with the same messages, as a
+    new record is.
     """
+    base = namedtuple(typename, field_names)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class BraidWord(checked_record("BraidWord", "strands letters")):
+    """A braid word: ``strands`` and its ``letters``, checked when built."""
 
     __slots__ = ()
 
@@ -47,10 +54,6 @@ class BraidWord(namedtuple("BraidWord", "strands letters")):
             if abs(g) > strands - 1:
                 raise ValueError(f"letter {g} out of range for {strands} strands")
         return super().__new__(cls, strands, letters)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -195,7 +198,7 @@ def _check_torus(p: int, q: int) -> None:
         raise ValueError(f"gcd(p, q) must be 1, got ({p}, {q})")
 
 
-class TwistedTorusSpec(namedtuple("TwistedTorusSpec", "p q r s")):
+class TwistedTorusSpec(checked_record("TwistedTorusSpec", "p q r s")):
     """Parameters (p, q, r, s): s full twists on r strands of T(p, q).
 
     The classical regime is r < p; r = p is a full twist on every strand
@@ -212,10 +215,6 @@ class TwistedTorusSpec(namedtuple("TwistedTorusSpec", "p q r s")):
             raise ValueError("s must be nonzero (use a plain torus braid)")
         return super().__new__(cls, p, q, r, s)
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
 
 def ttk_braid(spec: TwistedTorusSpec) -> BraidWord:
     """Braid word for the twisted torus knot T(p, q, r, s)."""
@@ -227,7 +226,7 @@ def ttk_braid(spec: TwistedTorusSpec) -> BraidWord:
     return insert_full_twists(base, 1, spec.r, spec.s)
 
 
-class Stabilize(namedtuple("Stabilize", "sign")):
+class Stabilize(checked_record("Stabilize", "sign")):
     """Markov stabilization step: add one strand and sigma_n^{sign}."""
 
     __slots__ = ()
@@ -237,12 +236,8 @@ class Stabilize(namedtuple("Stabilize", "sign")):
             raise ValueError("stabilization sign must be +1 or -1")
         return super().__new__(cls, sign)
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
-
-class TwistRegion(namedtuple("TwistRegion", "first width twists")):
+class TwistRegion(checked_record("TwistRegion", "first width twists")):
     """Full-twist step: ``twists`` full twists on strands first..first+width-1."""
 
     __slots__ = ()
@@ -256,15 +251,11 @@ class TwistRegion(namedtuple("TwistRegion", "first width twists")):
             raise ValueError("twist count must be nonzero")
         return super().__new__(cls, first, width, twists)
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
 
 GeneralizedOp = Union[Stabilize, TwistRegion]
 
 
-class GeneralizedTTKSpec(namedtuple("GeneralizedTTKSpec", "p q ops")):
+class GeneralizedTTKSpec(checked_record("GeneralizedTTKSpec", "p q ops")):
     """A torus knot base plus interleaved stabilizations and twist regions."""
 
     __slots__ = ()
@@ -285,10 +276,6 @@ class GeneralizedTTKSpec(namedtuple("GeneralizedTTKSpec", "p q ops")):
             else:
                 raise ValueError(f"unknown op {op!r}")
         return super().__new__(cls, p, q, ops)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 def gttk_braid(spec: GeneralizedTTKSpec) -> BraidWord:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import namedtuple
 from typing import TYPE_CHECKING, TextIO
 
 from .braid import (
@@ -19,6 +18,7 @@ from .braid import (
     Stabilize,
     TwistedTorusSpec,
     TwistRegion,
+    checked_record,
     free_reduce_cyclic,
     gttk_braid,
     parse_braid,
@@ -83,7 +83,7 @@ def __getattr__(name: str):
     return globals()[name]
 
 
-class RunConfig(namedtuple("RunConfig", "statesum_limit tl_limit oracle")):
+class RunConfig(checked_record("RunConfig", "statesum_limit tl_limit oracle")):
     """The options of one run, and ``tables``: not an option, but the route
     tables of this run, shared by its items and left out of equality and
     repr.  Like the fields, ``tables`` cannot be assigned."""
@@ -92,10 +92,6 @@ class RunConfig(namedtuple("RunConfig", "statesum_limit tl_limit oracle")):
         self = super().__new__(cls, statesum_limit, tl_limit, oracle)
         object.__setattr__(self, "tables", RunTables())
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -170,30 +166,37 @@ def cmd_gen(cfg: RunConfig, args: list[str], out: TextIO) -> int:
     return 0
 
 
-def cmd_jones(cfg: RunConfig, raw_items: list[str], out: TextIO) -> int:
+def _each_item(raw_items: list[str], compute, emit) -> int:
+    # the loop of jones, dt and fingerprint: emit(name, text, value) for
+    # each item whose compute(name, text) returns, in input order; one
+    # that raises ValueError prints "label: error: msg" on stderr instead,
+    # and the batch goes on.  Returns the exit code.
     failed = 0
     for name, text in _read_items(raw_items):
         try:
-            row = format_jones_row(name, _jones_of_text(text, cfg))
+            value = compute(name, text)
         except ValueError as exc:
             print(f"{name or text}: error: {exc}", file=sys.stderr)
             failed += 1
             continue
-        print(row, file=out)
+        emit(name, text, value)
     return 1 if failed else 0
+
+
+def cmd_jones(cfg: RunConfig, raw_items: list[str], out: TextIO) -> int:
+    return _each_item(
+        raw_items,
+        lambda name, text: format_jones_row(name, _jones_of_text(text, cfg)),
+        lambda name, text, row: print(row, file=out),
+    )
 
 
 def cmd_dt(cfg: RunConfig, raw_items: list[str], out: TextIO) -> int:
-    failed = 0
-    for name, text in _read_items(raw_items):
-        try:
-            code = dt_code(braid_closure(parse_braid(text)))
-        except ValueError as exc:
-            print(f"{name or text}: error: {exc}", file=sys.stderr)
-            failed += 1
-            continue
-        print(render_dt(code, name), file=out)
-    return 1 if failed else 0
+    return _each_item(
+        raw_items,
+        lambda name, text: dt_code(braid_closure(parse_braid(text))),
+        lambda name, text, code: print(render_dt(code, name), file=out),
+    )
 
 
 def cmd_kirby(cfg: RunConfig, pres_path: str, script_path: str | None, out: TextIO) -> int:
@@ -246,19 +249,17 @@ def cmd_homology(cfg: RunConfig, pres_path: str, out: TextIO) -> int:
 
 
 def cmd_fingerprint(cfg: RunConfig, raw_items: list[str], out: TextIO) -> int:
-    failed = 0
     groups: dict[tuple, list[str]] = {}
-    for name, text in _read_items(raw_items):
-        label = name or text
-        try:
-            v = _jones_of_text(text, cfg)
-            det = determinant(v) if v.variable == VAR_T else None
-        except ValueError as exc:
-            print(f"{label}: error: {exc}", file=sys.stderr)
-            failed += 1
-            continue
-        key = (v.variable, tuple(v.terms()), det)
-        groups.setdefault(key, []).append(label)
+
+    def fingerprint(name, text):
+        v = _jones_of_text(text, cfg)
+        return v.variable, tuple(v.terms()), determinant(v) if v.variable == VAR_T else None
+
+    code = _each_item(
+        raw_items,
+        fingerprint,
+        lambda name, text, key: groups.setdefault(key, []).append(name or text),
+    )
     for k, labels in enumerate(groups.values(), start=1):
         tag = " (candidate-equal)" if len(labels) > 1 else ""
         print(f"group {k}{tag}: " + ", ".join(labels), file=out)
@@ -266,7 +267,7 @@ def cmd_fingerprint(cfg: RunConfig, raw_items: list[str], out: TextIO) -> int:
         "note: equal fingerprints suggest, but do not prove, the same knot",
         file=out,
     )
-    return 1 if failed else 0
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -19,10 +19,9 @@ also numbers the arcs and links each arc to the next.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import NamedTuple
 
-from .braid import BraidWord, free_reduce_cyclic
+from .braid import BraidWord, checked_record, free_reduce_cyclic
 
 
 class Crossing(NamedTuple):
@@ -109,7 +108,7 @@ def writhe(d: PlanarDiagram) -> int:
     return sum([c[0] for c in d.crossings])
 
 
-class DTCode(namedtuple("DTCode", "pairs")):
+class DTCode(checked_record("DTCode", "pairs")):
     """Dowker-Thistlethwaite pairs: entry i is the signed even partner of
     odd label 2i-1; sign is negative exactly when the even pass is over."""
 
@@ -124,10 +123,6 @@ class DTCode(namedtuple("DTCode", "pairs")):
         if got != need:
             raise ValueError(f"entries must cover each of {{2,4,...,{2 * n}}} once")
         return super().__new__(cls, pairs)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 def _visit_sequence(d: PlanarDiagram) -> list[tuple[int, bool]]:

@@ -25,14 +25,13 @@ the only module of the package that imports ``fractions``, which loads
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd
 from typing import NamedTuple, Union
 
-from .braid import BraidWord, insert_full_twists
+from .braid import BraidWord, checked_record, insert_full_twists
 
 
 class _Infinity:
@@ -89,7 +88,7 @@ class Component(NamedTuple):
 
 
 class SurgeryPresentation(
-    namedtuple("SurgeryPresentation", "components linking meridian_edges")
+    checked_record("SurgeryPresentation", "components linking meridian_edges")
 ):
     """Components, their symmetric linking matrix and meridian edges, checked when built."""
 
@@ -113,10 +112,6 @@ class SurgeryPresentation(
             if problem:
                 raise ValueError(f"meridian edge {edge[0]}->{edge[1]}: {problem}")
         return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
     def _check_matrix(self) -> None:
         k = len(self.components)
@@ -421,7 +416,7 @@ def handle_slide(p: SurgeryPresentation, i_name: str, j_name: str, sign: int) ->
     return _rebuild(comps, mat, edges)
 
 
-class ContinuedFraction(namedtuple("ContinuedFraction", "terms")):
+class ContinuedFraction(checked_record("ContinuedFraction", "terms")):
     """Negative (minus-sign) continued fraction a1 - 1/(a2 - 1/(...))."""
 
     __slots__ = ()
@@ -432,10 +427,6 @@ class ContinuedFraction(namedtuple("ContinuedFraction", "terms")):
         if any(a < 2 for a in terms[1:]):
             raise ValueError("canonical form needs every term after the first to be >= 2")
         return super().__new__(cls, terms)
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 def cfrac_expand(x: Slope) -> ContinuedFraction:

@@ -347,6 +347,31 @@ def test_kirby_calls_names_rebound_before_surgery_loads(tmp_path, capsys, monkey
     )
 
 
+def test_kirby_stops_at_a_move_that_changes_h1(capsys, monkeypatch):
+    # every move keeps H1, so a move that changes it is a bug: kirby_reduce
+    # raises at that step, and kirby prints the one line and no transcript
+    golden = Path(__file__).parent / "golden"
+    pres, script = str(golden / "p.pres"), str(golden / "s.kirby")
+    surgery = twistlink.surgery
+    apply_move = surgery.apply_move
+
+    def add_one_to_k_at_slamdunks(p, move):
+        after = apply_move(p, move)
+        if move[0] != "slamdunk":
+            return after
+        k, *rest = after.components
+        return after._replace(components=(k._replace(coefficient=k.coefficient + 1), *rest))
+
+    monkeypatch.setattr(surgery, "apply_move", add_one_to_k_at_slamdunks)
+    message = "step 2 (slamdunk m.3 m.2) changed H1 from Z/32 to Z/39; this is a bug"
+    p = surgery.parse_presentation((golden / "p.pres").read_text())
+    moves = surgery.parse_script((golden / "s.kirby").read_text())
+    with pytest.raises(RuntimeError) as info:
+        surgery.kirby_reduce(p, moves)
+    assert str(info.value) == message
+    assert run(capsys, "kirby", pres, script) == (1, "", f"error: {message}\n")
+
+
 def test_kirby_empty_script_echoes(tmp_path, capsys):
     pres = tmp_path / "p.pres"
     pres.write_text("components 1\nu 0 1\n")

@@ -343,8 +343,9 @@ def test_statesum_on_wide_short_words():
     for p, q in ((11, 4), (13, 2)):
         d = braid_closure(torus_braid(p, q))
         assert as_dict(jones(d, limit=len(d.crossings))) == torus_jones(p, q), (p, q)
-    # T(12,3) is a link of three components, past the torus formula
-    words = [torus_braid(12, 3), ttk_braid(TwistedTorusSpec(9, 4, 3, 5))]
+    # T(12,3) is a link of three components, past the torus formula; T(11,4)
+    # is checked against the transfer route too
+    words = [torus_braid(12, 3), torus_braid(11, 4), ttk_braid(TwistedTorusSpec(9, 4, 3, 5))]
     words.append(ttk_braid(TwistedTorusSpec(8, 3, 4, -2)))
     # the transfer route's basis grows as Catalan(n), so the widest
     # random words get the fewest periods
