@@ -58,13 +58,14 @@ def parse_slope(text: str) -> Slope:
     text = text.strip()
     if text == "inf":
         return INF
+    num, slash, den = text.partition("/")
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {text!r}: {exc}") from None
+        num, den = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"bad rational {text!r}: expected an integer, p/q or inf") from None
+    if den == 0:
+        raise ValueError(f"bad rational {text!r}: zero denominator")
+    return Fraction(num, den)
 
 
 def format_slope(value: Slope) -> str:
@@ -384,7 +385,7 @@ def slam_dunk(p: SurgeryPresentation, meridian: str, target: str) -> SurgeryPres
     comps = [
         p.components[i]._replace(coefficient=coeff) if i == ti else p.components[i] for i in keep
     ]
-    mat = [[row[j] for j in keep] for i, row in enumerate(p.linking) if i != mi]
+    mat = [row[:mi] + row[mi + 1 :] for i, row in enumerate(p.linking) if i != mi]
     edges = {e for e in p.meridian_edges if meridian not in e}
     return _rebuild(comps, mat, edges)
 
@@ -523,23 +524,30 @@ def _subtract(m, cols, written, i, c, vector) -> None:
             cols[j].discard(i)
 
 
-def _smith_diagonal(rows: list[list[int]]) -> list[int]:
+def _smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
-    First diagonalize by sparse elimination: rows are {col: value} dicts
-    with a col -> rows index, and each pivot is a least-|value| entry,
-    ties going to the fewest nonzeros in its row and column.  Reducing
-    the pivot's column and row modulo the pivot leaves remainders only in
-    that row and column, so the next pivot is sought there until both are
-    clear; then |p| is recorded and they are dropped.  Then make the
-    diagonal a divisor chain, since diag(a, b) has Smith form diag(gcd, lcm).
+    Each row is a ``{column: value}`` dict of the row's nonzero entries
+    (zero values are ignored, and the rows are not changed).  First
+    diagonalize by sparse elimination, with a col -> rows index: each
+    pivot is a least-|value| entry, ties going to the fewest nonzeros in
+    its row and column.  A unit pivot clears its column by row operations
+    and is dropped with its row, whose other entries a column pass would
+    clear without touching any other row (Dumas, Saunders and Villard,
+    J. Symb. Comput. 32, 2001, start with these pivots too).  Any other
+    pivot reduces its column and row modulo itself, which leaves
+    remainders only in that row and column, so the next pivot is sought
+    there until both are clear; then |p| is recorded and they are
+    dropped.  Then make the diagonal a divisor chain, since diag(a, b)
+    has Smith form diag(gcd, lcm).
     """
     m = {}
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
-        if any(row):
-            m[i] = {j: row[j] for j in compress(range(len(row)), row)}
-            for j in m[i]:
+        row = {j: v for j, v in row.items() if v}
+        if row:
+            m[i] = row
+            for j in row:
                 cols.setdefault(j, set()).add(i)
     # candidate pivots (|value|, row + column nonzeros, i, j), pushed after
     # each pivot for the entries it wrote; stale items are skipped
@@ -558,6 +566,8 @@ def _smith_diagonal(rows: list[list[int]]) -> list[int]:
                 q = m[i][pj] // p
                 if q:
                     _subtract(m, cols, written, i, q, prow)
+            if abs(p) == 1:
+                break
             quotients = {j: q for j, v in prow.items() if j != pj and (q := v // p)}
             if quotients:
                 for i in list(cols[pj]):
@@ -570,7 +580,9 @@ def _smith_diagonal(rows: list[list[int]]) -> list[int]:
                 + [(abs(m[i][pj]), len(m[i]) + len(cols[pj]), i, pj) for i in cols[pj] if i != pi]
             )[2:]
             prow = m[pi]
-        del m[pi], cols[pj]
+        del m[pi], cols[pj], prow[pj]
+        for j in prow:  # the rest of a unit pivot's row
+            cols[j].discard(pi)
         diag.append(abs(p))
         for i, j in written:
             v = m.get(i, {}).get(j)
@@ -589,7 +601,9 @@ def h1(p: SurgeryPresentation) -> Homology:
 
     Row i of the presentation matrix is q_i * linking(i, .) with diagonal
     p_i, for coefficient p_i/q_i; components with infinite coefficient are
-    erased first.
+    erased first, with their rows and columns.  Each row goes to
+    ``_smith_diagonal`` as a dict built from the nonzeros of its linking
+    row alone.
     """
     coeffs = [coeff for _, coeff, _ in p.components]
     keep = [i for i, coeff in enumerate(coeffs) if coeff is not INF]
@@ -601,10 +615,11 @@ def h1(p: SurgeryPresentation) -> Homology:
         coeff = coeffs[i]
         q = coeff.denominator
         linking = p.linking[i]
-        row = [0] * len(keep)
-        for j in compress(range(len(linking)), linking):
-            if j in position:
-                row[position[j]] = q * linking[j]
+        row = {
+            position[j]: q * linking[j]
+            for j in compress(range(len(linking)), linking)
+            if j in position
+        }
         row[position[i]] = coeff.numerator
         rows.append(row)
     diag = _smith_diagonal(rows)

@@ -21,8 +21,9 @@ The cases cover every subcommand:
   slam-dunked back (``s.kirby``), and blow-ups, a blow-down that prints
   its note and a slide (``blowup.kirby``);
 * one-line errors: bad braid items for ``jones``, ``fingerprint`` and
-  ``dt``, each of ``gen``'s argument errors, bad slopes for ``cfrac``, a
-  bad presentation line, a failing kirby step and the transfer limit.
+  ``dt``, each of ``gen``'s argument errors, bad slopes for ``cfrac``
+  (one of them an empty argument), a bad presentation line, a failing
+  kirby step and the transfer limit.
 
 To record bytes that a change means to alter, run this file as a
 script: it rewrites each non-empty expected file from the current code.

@@ -371,8 +371,13 @@ def test_parse_slope_inf_round_trip():
 
 
 def test_parse_slope_rejects_garbage():
-    for bad in ("", "x", "1/0", "2/", "1.5"):
-        with pytest.raises(ValueError, match=re.escape(f"bad rational '{bad}': ")):
+    for bad in ("", "x", "2/", "1.5", "1/2/3", "inf/2"):
+        message = f"bad rational '{bad}': expected an integer, p/q or inf"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            parse_slope(bad)
+    for bad in ("1/0", "0/0", "-3/0"):
+        message = f"bad rational '{bad}': zero denominator"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
             parse_slope(bad)
 
 
@@ -494,14 +499,20 @@ def random_matrix(rng, rows, cols):
     return m
 
 
+def sparse(m):
+    """The rows of a dense matrix as the {column: value} dicts _smith_diagonal takes."""
+    return [{j: v for j, v in enumerate(row) if v} for row in m]
+
+
 def test_smith_diagonal_matches_determinantal_divisors():
     # square, non-square, singular, zero rows and negative entries
     rng = random.Random(5150)
     for _ in range(300):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        before = [row[:] for row in m]
-        assert _smith_diagonal(m) == invariant_factors(m), m
-        assert m == before
+        rows = sparse(m)
+        before = [dict(row) for row in rows]
+        assert _smith_diagonal(rows) == invariant_factors(m), m
+        assert rows == before
 
 
 def chain_matrix(rng, n):
@@ -523,7 +534,7 @@ def test_smith_diagonal_on_large_chain_matrices():
         m = chain_matrix(rng, n)
         det = det_bareiss(m)
         assert det != 0
-        factors = _smith_diagonal(m)
+        factors = _smith_diagonal(sparse(m))
         assert len(factors) == n
         product = 1
         for d in factors:
@@ -541,25 +552,58 @@ def test_smith_diagonal_on_sparse_matrices_with_large_entries():
         ]
         for i in rng.sample(range(6), 2):
             m[i][rng.randrange(6)] = rng.choice([-1, 1])
-        before = [row[:] for row in m]
-        assert _smith_diagonal(m) == invariant_factors(m), m
-        assert m == before
+        rows = sparse(m)
+        before = [dict(row) for row in rows]
+        assert _smith_diagonal(rows) == invariant_factors(m), m
+        assert rows == before
+
+
+def test_smith_diagonal_unit_pivots_beside_other_entries():
+    # a unit whose row and column hold other entries, placed so that
+    # clearing its column leaves a new unit in another row
+    fixed = [
+        [[1, 2], [1, 3]],
+        [[1, 4, 6], [2, 9, 12], [3, 12, 20]],
+        [[-1, 5, 0], [0, 1, 7], [3, 0, 1]],
+    ]
+    rng = random.Random(4181)
+    randoms = []
+    for _ in range(200):
+        nr, nc = rng.randint(2, 5), rng.randint(2, 5)
+        m = [[rng.choice([0, 0, 2, -3, 4, 6]) for _ in range(nc)] for _ in range(nr)]
+        (i, k), (j, c) = rng.sample(range(nr), 2), rng.sample(range(nc), 2)
+        p = m[i][j] = rng.choice([-1, 1])
+        m[i][c] = rng.choice([2, -3, 5])
+        a = m[k][j] = rng.choice([2, -3, 4])
+        m[k][c] = a * p * m[i][c] + rng.choice([-1, 1])
+        randoms.append(m)
+    for m in fixed + randoms:
+        rows = sparse(m)
+        before = [dict(row) for row in rows]
+        assert _smith_diagonal(rows) == invariant_factors(m), m
+        assert rows == before
 
 
 def test_h1_matches_determinantal_divisors():
     rng = random.Random(8128)
-    for _ in range(100):
-        k = rng.randint(1, 5)
-        coeffs = [Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3])) for _ in range(k)]
+    for _ in range(150):
+        k = rng.randint(1, 6)
+        coeffs = [
+            INF if rng.random() < 0.2 else Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+            for _ in range(k)
+        ]
         m = random_matrix(rng, k, k)
         linking = {(f"c{i}", f"c{j}"): m[i][j] for i in range(k) for j in range(i + 1, k)}
         p = presentation([(f"c{i}", c, False) for i, c in enumerate(coeffs)], linking)
+        # components framed inf are erased, with their rows and columns
+        kept = [i for i, c in enumerate(coeffs) if c is not INF]
         rows = [
-            [c.numerator if i == j else c.denominator * p.linking[i][j] for j in range(k)]
+            [c.numerator if i == j else c.denominator * p.linking[i][j] for j in kept]
             for i, c in enumerate(coeffs)
+            if c is not INF
         ]
         factors = invariant_factors(rows)
-        assert h1(p) == Homology(tuple(d for d in factors if d > 1), k - len(factors))
+        assert h1(p) == Homology(tuple(d for d in factors if d > 1), len(kept) - len(factors))
 
 
 # -- scripts and traces -----------------------------------------------------
