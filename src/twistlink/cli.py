@@ -30,12 +30,10 @@ from .jones import (
     DEFAULT_STATESUM_LIMIT,
     DEFAULT_TL_LIMIT,
     RunTables,
-    determinant,
     format_jones_row,
     jones,
     jones_tl,
 )
-from .poly import VAR_T
 
 if TYPE_CHECKING:  # bound on first use by _bind_surgery
     from .surgery import (
@@ -253,7 +251,7 @@ def cmd_fingerprint(cfg: RunConfig, raw_items: list[str], out: TextIO) -> int:
 
     def fingerprint(name, text):
         v = _jones_of_text(text, cfg)
-        return v.variable, tuple(v.terms()), determinant(v) if v.variable == VAR_T else None
+        return v.variable, tuple(v.terms())
 
     code = _each_item(
         raw_items,

@@ -43,9 +43,7 @@ earlier calls of the run computed.  Only the values, ``low`` and the
 slot width belong to one call, and a call given no tables starts from
 fresh ones.  The tables' lock is held for each call, so that two
 threads never give two keys one id.  Nothing is evicted while the run
-lasts, and all of it is freed with the tables object when the run ends;
-a T(9,10) call leaves about 8 MB in them, and T(10,11) about 33 MB
-(tracemalloc).
+lasts, and all of it is freed with the tables object when the run ends.
 
 Values.  The value of a key is one Python int whose signed slots of
 ``width`` bits hold the coefficients of a polynomial in A, one A^2

@@ -106,7 +106,9 @@ class SurgeryPresentation(
             _check_name(c.name)
         for row in linking:
             _check_linking(row)
-        self._check_matrix()
+        if len({c.name for c in components}) != len(components):
+            raise ValueError("component names must be distinct")
+        self._check_matrix(range(len(components)))
         names, own = _edge_index(components, meridian_edges)
         for edge in sorted(meridian_edges):
             problem = _edge_problem(components, linking, names, own, edge)
@@ -114,18 +116,30 @@ class SurgeryPresentation(
                 raise ValueError(f"meridian edge {edge[0]}->{edge[1]}: {problem}")
         return self
 
-    def _check_matrix(self) -> None:
+    def _check_matrix(self, rows) -> None:
+        """Check the size, zero diagonal and symmetry of the given rows and their columns.
+
+        The rows go in ascending order.  Row i is compared with column i
+        except where a row still to come will compare the same pair, so
+        given every row this finds the first bad row of the matrix, and
+        given a few it reads O(k) entries per row.
+        """
+        linking = self.linking
         k = len(self.components)
-        names = [c.name for c in self.components]
-        if len(set(names)) != k:
-            raise ValueError("component names must be distinct")
-        if len(self.linking) != k or any(len(row) != k for row in self.linking):
+        if len(linking) != k or any(len(linking[i]) != k for i in rows):
             raise ValueError("linking matrix size must match component count")
-        # row i's prefix against column i's, both as tuples so list rows work
-        for i, (row, col) in enumerate(zip(self.linking, zip(*self.linking))):
+        rows = sorted(rows)
+        to_come = set(rows)
+        for i in rows:
+            row = linking[i]
             if row[i] != 0:
                 raise ValueError("linking diagonal must be zero")
-            if tuple(row[:i]) != col[:i]:
+            to_come.discard(i)
+            column = [other[i] for other in linking]
+            # the scan runs only when some pair differs
+            if list(row) != column and any(
+                row[j] != column[j] for j in range(k) if j not in to_come
+            ):
                 raise ValueError("linking matrix must be symmetric")
 
     def index(self, name: str) -> int:
@@ -221,32 +235,48 @@ def presentation(
     )
 
 
-def _prune_edges(components, linking, edges) -> frozenset[tuple[str, str]]:
+def _prune_edges(components, linking, edges, changed) -> frozenset[tuple[str, str]]:
     """Largest subset of edges that are all valid against that subset.
 
+    Every edge out of a component not in ``changed`` must be valid already
+    (see ``_rebuild``), so the edges out of ``changed`` are checked first.
     Dropping an edge (a, b) takes a from b's own meridians, which can only
-    invalidate edges out of b, so only those are checked again.
+    invalidate edges out of b, so only those are checked next, until no
+    edge drops.
     """
     names, own = _edge_index(components, edges)
     kept = set(edges)
-    todo = edges
-    while todo:
-        bad = {e for e in todo if _edge_problem(components, linking, names, own, e)}
+    while changed:
+        bad = {
+            e
+            for e in kept
+            if e[0] in changed and _edge_problem(components, linking, names, own, e)
+        }
         kept -= bad
         for a, b in bad:
             own[b].discard(a)
-        targets = {b for _, b in bad}
-        todo = {e for e in kept if e[0] in targets}
+        changed = {b for _, b in bad}
     return frozenset(kept)
 
 
-def _rebuild(components, linking, edges) -> SurgeryPresentation:
-    # _prune_edges has checked every kept edge, so only the matrix is
-    # checked here
-    mat = tuple(tuple(row) for row in linking)
+def _rebuild(components, linking, edges, changed) -> SurgeryPresentation:
+    """The presentation a move built, checked only where the move changed it.
+
+    ``changed`` names each component whose linking row or unknotted flag
+    the move changed, and the target of each meridian edge the move
+    dropped.  Only their rows and columns are checked, and only the edges
+    out of them, with the cascade of ``_prune_edges``; every new edge must
+    leave one of them.  That is enough because an edge (a, b) depends only
+    on a's flag, a's row and a's own meridians, and a row that lost only
+    the columns of deleted components lost at most stray links.  So a
+    slam-dunk, which deletes a meridian linking nothing but its target,
+    names only the target: no other row changes, and no other edge can
+    break.
+    """
+    mat = tuple(map(tuple, linking))
     comps = tuple(components)
-    p = tuple.__new__(SurgeryPresentation, (comps, mat, _prune_edges(comps, mat, edges)))
-    p._check_matrix()
+    p = tuple.__new__(SurgeryPresentation, (comps, mat, _prune_edges(comps, mat, edges, changed)))
+    p._check_matrix([i for i, c in enumerate(comps) if c.name in changed])
     return p
 
 
@@ -301,7 +331,10 @@ def blow_down(p: SurgeryPresentation, name: str) -> SurgeryPresentation:
     targets = [b for a, b in p.meridian_edges if a == name]
     if len(sources) == 1 and targets:
         edges.add((sources[0], targets[0]))
-    return _rebuild(comps, mat, edges)
+    # the neighbors hold every changed row and flag; a re-aimed edge and
+    # each dropped edge's target are among them, since each links c
+    changed = {p.components[i].name for i in keep if lk_c[i]}
+    return _rebuild(comps, mat, edges, changed)
 
 
 def blow_up(
@@ -339,7 +372,9 @@ def blow_up(
         for i, row in enumerate(p.linking)
     ]
     mat.append(list(links_to) + [0])
-    return _rebuild(comps, mat, p.meridian_edges)
+    changed = {comp.name for comp, v in zip(p.components, links_to) if v}
+    changed.add(name)
+    return _rebuild(comps, mat, p.meridian_edges, changed)
 
 
 def blow_down_axis(b: BraidWord, first: int, width: int, coeff: Slope) -> BraidWord:
@@ -386,8 +421,10 @@ def slam_dunk(p: SurgeryPresentation, meridian: str, target: str) -> SurgeryPres
         p.components[i]._replace(coefficient=coeff) if i == ti else p.components[i] for i in keep
     ]
     mat = [row[:mi] + row[mi + 1 :] for i, row in enumerate(p.linking) if i != mi]
+    # the meridian links only its target, and (meridian, target) is its
+    # only edge, so only the target's row changes
     edges = {e for e in p.meridian_edges if meridian not in e}
-    return _rebuild(comps, mat, edges)
+    return _rebuild(comps, mat, edges, {target})
 
 
 def handle_slide(p: SurgeryPresentation, i_name: str, j_name: str, sign: int) -> SurgeryPresentation:
@@ -414,7 +451,12 @@ def handle_slide(p: SurgeryPresentation, i_name: str, j_name: str, sign: int) ->
         for x, c in enumerate(p.components)
     ]
     edges = {e for e in p.meridian_edges if e[0] != i_name}
-    return _rebuild(comps, mat, edges)
+    # row i changes where row j is nonzero, and so do those rows and row j;
+    # i's edges all go, and each of their targets loses a meridian
+    changed = {c.name for c, v in zip(p.components, p.linking[j]) if v}
+    changed |= {i_name, j_name}
+    changed |= {b for a, b in p.meridian_edges if a == i_name}
+    return _rebuild(comps, mat, edges, changed)
 
 
 class ContinuedFraction(checked_record("ContinuedFraction", "terms")):
@@ -486,7 +528,7 @@ def rational_to_chain(p: SurgeryPresentation, name: str) -> SurgeryPresentation:
     for f in fresh:
         edges.add((f, prev))
         prev = f
-    return _rebuild(comps, mat, edges)
+    return _rebuild(comps, mat, edges, {name, *fresh})
 
 
 class Homology(NamedTuple):

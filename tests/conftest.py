@@ -1,3 +1,10 @@
+import os
+
+# TWISTLINK_STATEMENT_GATE=1 fails the run on a statement of src/twistlink
+# that no test ran (see statement_gate.py)
+if os.environ.get("TWISTLINK_STATEMENT_GATE"):
+    pytest_plugins = ["statement_gate"]
+
 ACCEPTANCE_LINES = []
 
 

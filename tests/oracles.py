@@ -5,9 +5,10 @@ deliberately different plumbing: raw dicts for polynomials, a grid walk
 for DT codes, long division for the torus-knot formula, Bareiss
 elimination for determinants, a Fox coloring matrix for knot
 determinants, gcds of minors for invariant factors, and sorted terms
-through the public constructor for the Jones row.  Two are earlier
+through the public constructor for the Jones row.  Three are earlier
 versions of package functions kept as references for faster rewrites:
-the stack-only cyclic free reduction and the state sum's gluing order.
+the stack-only cyclic free reduction, the state sum's gluing order, and
+the full check of a surgery presentation after each Kirby move.
 Nothing imports from twistlink.
 """
 
@@ -410,3 +411,58 @@ def coloring_determinant(strands: int, letters: tuple[int, ...]) -> int:
         row[column[_dsu_find(parent, under_out)]] -= 1
         rows.append(row)
     return abs(det_bareiss([row[1:] for row in rows[1:]]))
+
+
+# ---------------------------------------------------------------------------
+# Reference version of the full rebuild after a Kirby move
+
+
+def _edge_problem(components, linking, names, own, edge) -> str | None:
+    a, b = edge
+    if a not in names or b not in names:
+        return "unknown component"
+    if a == b:
+        return "component cannot be its own meridian"
+    ia = names[a]
+    if not components[ia].unknotted:
+        return "meridian must be unknotted"
+    row = linking[ia]
+    if abs(row[names[b]]) != 1:
+        return "meridian must link its target exactly once"
+    mine = own.get(a, ())
+    for j, v in enumerate(row):
+        if v and components[j].name != b and components[j].name not in mine:
+            return f"meridian links stray component {components[j].name!r}"
+    return None
+
+
+def rebuild(components, linking, edges) -> tuple:
+    """(components, linking, kept edges) of a move's result, every edge and row checked.
+
+    Prunes the largest subset of edges that are all valid against that
+    subset, re-checking every edge after each drop, then checks the whole
+    linking matrix with the package's messages.
+    """
+    comps = tuple(components)
+    mat = tuple(tuple(row) for row in linking)
+    names = {c.name: i for i, c in enumerate(comps)}
+    kept = set(edges)
+    while True:
+        own: dict[str, set[str]] = {}
+        for a, b in kept:
+            own.setdefault(b, set()).add(a)
+        bad = {e for e in kept if _edge_problem(comps, mat, names, own, e)}
+        if not bad:
+            break
+        kept -= bad
+    k = len(comps)
+    if len(names) != k:
+        raise ValueError("component names must be distinct")
+    if len(mat) != k or any(len(row) != k for row in mat):
+        raise ValueError("linking matrix size must match component count")
+    for i, row in enumerate(mat):
+        if row[i] != 0:
+            raise ValueError("linking diagonal must be zero")
+        if any(row[j] != mat[j][i] for j in range(i)):
+            raise ValueError("linking matrix must be symmetric")
+    return comps, mat, frozenset(kept)

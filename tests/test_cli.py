@@ -2,6 +2,7 @@ import gc
 import hashlib
 import io
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -169,9 +170,9 @@ def test_batch_rows_equal_single_item_rows(capsys):
 
 
 def test_batch_rows_do_not_depend_on_the_first_route(capsys):
-    # a fresh CLI process imports the transfer route at its first TL item
-    # and fractions at its first determinant; in one order the batch starts
-    # on the state sum, in the other on TL, and --oracle never loads TL
+    # a fresh CLI process imports the transfer route at its first TL item;
+    # in one order the batch starts on the state sum, in the other on TL,
+    # and --oracle never loads TL
     env = dict(os.environ, PYTHONPATH=str(Path(twistlink.__file__).parents[1]))
     for command in ("jones", "fingerprint"):
         for order in (1, -1):
@@ -385,6 +386,18 @@ def test_meridian_errors_do_not_depend_on_hash_seed(tmp_path):
         assert proc.returncode == 1 and not proc.stdout
         errors.add(proc.stderr)
     assert errors == {"error: meridian edge b->a: meridian must be unknotted\n"}
+
+
+def test_module_entry_point_exits_with_mains_code(capsys, monkeypatch):
+    # what python -m twistlink runs, here in process so that a traced run
+    # of the suite sees it
+    expected = run(capsys, "cfrac", "2/7")
+    monkeypatch.setattr(sys, "argv", ["twistlink", "cfrac", "2/7"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("twistlink", run_name="__main__")
+    out, err = capsys.readouterr()
+    assert (stop.value.code, out, err) == expected
+    assert expected[0] == 0 and expected[1]
 
 
 def test_fingerprint_groups(capsys):

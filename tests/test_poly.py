@@ -20,6 +20,20 @@ def test_shift_scale_and_coefficient():
     assert p.coefficient(5) == 0
 
 
+def test_repr_and_is_zero():
+    cases = [
+        ({}, "LaurentPoly('t', 0)"),
+        ({0: 3}, "LaurentPoly('t', 3)"),
+        ({1: -2}, "LaurentPoly('t', -2*t)"),
+        ({3: 2, -2: 1, 1: 4, 0: -1}, "LaurentPoly('t', 1*t^-2 + -1 + 4*t + 2*t^3)"),
+    ]
+    for coeffs, text in cases:
+        p = LaurentPoly(VAR_T, coeffs)
+        assert repr(p) == text
+        assert p.is_zero == (not coeffs)
+    assert LaurentPoly(VAR_A, {2: 0}).is_zero
+
+
 def test_degree_span_rejects_zero():
     with pytest.raises(ValueError):
         LaurentPoly(VAR_A, {}).degree_span()

@@ -164,7 +164,7 @@ def test_rebuild_equals_the_checked_constructor():
     for q in (p, step):
         comps = list(q.components)
         rows = [list(row) for row in q.linking]
-        rebuilt = _rebuild(comps, rows, set(q.meridian_edges))
+        rebuilt = _rebuild(comps, rows, set(q.meridian_edges), {c.name for c in comps})
         assert type(rebuilt) is SurgeryPresentation
         assert rebuilt == q == SurgeryPresentation(*q)
         assert hash(rebuilt) == hash(q)

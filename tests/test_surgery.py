@@ -3,9 +3,10 @@ import random
 import re
 import typing
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twistlink import surgery
@@ -36,6 +37,7 @@ from twistlink.surgery import (
     slam_dunk,
 )
 
+import oracles
 from oracles import det_bareiss, invariant_factors
 
 nonzero_fractions = st.fractions(
@@ -133,7 +135,7 @@ def test_pruning_cascades_through_own_meridians():
     ]
     linking = [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
     edges = {("c", "a"), ("a", "b"), ("d", "b")}
-    p = _rebuild(comps, linking, edges)
+    p = _rebuild(comps, linking, edges, {"a", "b", "c", "d"})
     assert p.meridian_edges == frozenset({("d", "b")})
     assert p == presentation(
         [("a", 1, True), ("b", 2, True), ("c", 3, False), ("d", 1, True)],
@@ -142,7 +144,7 @@ def test_pruning_cascades_through_own_meridians():
     )
     # with c unknotted nothing is dropped
     comps[2] = Component("c", Fraction(3), True)
-    assert _rebuild(comps, linking, edges).meridian_edges == frozenset(edges)
+    assert _rebuild(comps, linking, edges, {"a", "b", "c", "d"}).meridian_edges == frozenset(edges)
 
 
 def test_presentation_rejects_bad_linking_entries():
@@ -233,6 +235,20 @@ def test_blow_down_two_meridians_drop_edges():
     q = blow_down(p, "x")
     assert q.meridian_edges == frozenset()
     assert q.lk("m1", "m2") == -1  # the two meridians now link each other
+
+
+def test_blow_down_rechecks_the_target_of_the_deleted_meridian():
+    # x is main's meridian with two meridians of its own, so none is
+    # re-aimed; main, itself base's meridian, then links m1 and m2 as
+    # strays, and its own edge goes too
+    p = presentation(
+        [("base", 0, True), ("main", 4, True), ("x", 1, True), ("m1", 2, True), ("m2", 2, True)],
+        {("base", "main"): 1, ("main", "x"): 1, ("x", "m1"): 1, ("x", "m2"): 1},
+        [("main", "base"), ("x", "main"), ("m1", "x"), ("m2", "x")],
+    )
+    q = blow_down(p, "x")
+    assert q.lk("main", "m1") == q.lk("main", "m2") == -1
+    assert q.meridian_edges == frozenset()
 
 
 def test_blow_up_then_down_restores_numbers():
@@ -755,3 +771,117 @@ def test_h1_invariance_random_spot():
         if len(ints) >= 2:
             i, j = rng.sample(ints, 2)
             assert h1(handle_slide(p, i, j, rng.choice([1, -1]))) == base
+
+
+# -- each move checks only what it changed ----------------------------------
+
+
+@st.composite
+def valid_presentations(draw):
+    """Presentations with chains and trees of meridians, stray links and knots.
+
+    Each component but the first is drawn as a meridian of one of the
+    three before it, linking it once, so chains and branches both occur;
+    extra links, knotted flags and a stray edge then break some of those
+    edges, and the full rebuild prunes them before the public constructor
+    checks what is left.
+    """
+    k = draw(st.integers(2, 8))
+    names = [f"c{i}" for i in range(k)]
+    slope = st.sampled_from(
+        [Fraction(n) for n in (-3, -2, -1, -1, -1, 0, 1, 1, 1, 2, 3)]
+        + [Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4), INF]
+    )
+    comps = [Component(n, draw(slope), draw(st.integers(0, 9)) > 0) for n in names]
+    mat = [[0] * k for _ in range(k)]
+    edges = set()
+    for i in range(1, k):
+        target = i - draw(st.integers(1, min(i, 3)))
+        mat[i][target] = mat[target][i] = draw(st.sampled_from([1, -1]))
+        edges.add((names[i], names[target]))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        mat[i][j] = mat[j][i] = draw(st.integers(-2, 2))
+    if k > 2 and draw(st.booleans()):
+        edges.add(tuple(draw(st.permutations(names))[:2]))
+    return SurgeryPresentation(*oracles.rebuild(comps, mat, edges))
+
+
+def draw_move(data, p):
+    """A move on components that meet its own contract, where there are any."""
+    comps = p.components
+    integral = [c.name for c in comps if is_integral(c.coefficient)]
+    candidates = {
+        "blowdown": [c.name for c in comps if c.unknotted and c.coefficient in (1, -1)],
+        "chain": [
+            c.name for c in comps if c.coefficient is not INF and not is_integral(c.coefficient)
+        ],
+        "slamdunk": sorted(p.meridian_edges),
+        "slide": integral if len(integral) > 1 else [],
+    }
+    kind = data.draw(st.sampled_from(["blowup", *(k for k, v in candidates.items() if v)]))
+    if kind == "blowup":
+        entry = st.sampled_from([0, 0, 1, -1, 2])
+        vector = data.draw(st.lists(entry, min_size=len(comps), max_size=len(comps)))
+        return ("blowup", data.draw(st.sampled_from([1, -1])), tuple(vector))
+    if kind == "slide":
+        i, j = data.draw(st.permutations(integral))[:2]
+        return ("slide", i, j, data.draw(st.sampled_from([1, -1])))
+    if kind == "slamdunk":
+        return ("slamdunk", *data.draw(st.sampled_from(candidates[kind])))
+    return (kind, data.draw(st.sampled_from(candidates[kind])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(valid_presentations(), st.data())
+def test_moves_match_the_full_rebuild(p, data):
+    # every move's result, edges pruned and matrix checked only where it
+    # changed, equals the full rebuild of what the move built
+    real = surgery._rebuild
+    rebuilt = []
+
+    def spy(components, linking, edges, changed):
+        result = real(components, linking, edges, changed)
+        rebuilt.append(oracles.rebuild(components, linking, edges))
+        return result
+
+    with mock.patch.object(surgery, "_rebuild", spy):
+        for _ in range(data.draw(st.integers(1, 6))):
+            move = draw_move(data, p)
+            try:
+                p = apply_move(p, move)
+            except ValueError:
+                continue  # the move's own contract, checked before any rebuild
+            assert p == rebuilt[-1], move
+            assert p == SurgeryPresentation(*p)
+    assume(rebuilt)
+
+
+def test_kirby_reduce_calls_the_module_h1_once_per_step(monkeypatch):
+    # perfbench times each step by wrapping surgery.h1, so kirby_reduce
+    # must call that global once for the input and once after each move
+    calls = []
+    real = surgery.h1
+
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(surgery, "h1", counting)
+    script = parse_script(AXIS_SCRIPT + "chain main\nblowdown main\n")
+    _, trace = kirby_reduce(parse_presentation(AXIS_PRES), script)
+    assert len(calls) == len(script) + 1
+    assert all(len(args) == 1 and not kwargs for args, kwargs in calls)
+    assert [args[0] for args, _ in calls[1:]] == [step.result for step in trace.steps]
+
+
+def test_messages_of_rarely_failing_checks():
+    assert repr(INF) == "inf"
+    a = (Component("a", Fraction(1), True),)
+    for linking in (((0, 0),), ((0,), (0,))):
+        with pytest.raises(ValueError, match="^linking matrix size must match component count$"):
+            SurgeryPresentation(a, linking, frozenset())
+    with pytest.raises(ValueError, match="^meridian edge a->zz: unknown component$"):
+        presentation([("a", 1, True)], {}, [("a", "zz")])
+    with pytest.raises(ValueError, match="^unknown move 'warp'$"):
+        apply_move(presentation([("a", 1, True)]), ("warp", "a"))
