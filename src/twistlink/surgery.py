@@ -109,7 +109,8 @@ class SurgeryPresentation(
         if len({c.name for c in components}) != len(components):
             raise ValueError("component names must be distinct")
         self._check_matrix(range(len(components)))
-        names, own = _edge_index(components, meridian_edges)
+        names = {c.name: i for i, c in enumerate(components)}
+        own = _own_meridians(meridian_edges, names)
         for edge in sorted(meridian_edges):
             problem = _edge_problem(components, linking, names, own, edge)
             if problem:
@@ -172,13 +173,13 @@ def _check_linking(values) -> None:
             raise TypeError(f"linking values must be int, got {type(v).__name__} {v!r}")
 
 
-def _edge_index(components, edges) -> tuple[dict[str, int], dict[str, set[str]]]:
-    """Component index by name, and each component's own meridians."""
-    names = {c.name: i for i, c in enumerate(components)}
+def _own_meridians(edges, targets) -> dict[str, set[str]]:
+    """The meridians each of ``targets`` has among ``edges``, if it has any."""
     own: dict[str, set[str]] = {}
     for a, b in edges:
-        own.setdefault(b, set()).add(a)
-    return names, own
+        if b in targets:
+            own.setdefault(b, set()).add(a)
+    return own
 
 
 def _edge_problem(components, linking, names, own, edge) -> str | None:
@@ -242,19 +243,19 @@ def _prune_edges(components, linking, edges, changed) -> frozenset[tuple[str, st
     (see ``_rebuild``), so the edges out of ``changed`` are checked first.
     Dropping an edge (a, b) takes a from b's own meridians, which can only
     invalidate edges out of b, so only those are checked next, until no
-    edge drops.
+    edge drops.  An edge (a, b) reads only a's own meridians, so each
+    round finds the own meridians of the components it checks, no others.
     """
-    names, own = _edge_index(components, edges)
+    names = {c.name: i for i, c in enumerate(components)}
     kept = set(edges)
     while changed:
+        own = _own_meridians(kept, changed)
         bad = {
             e
             for e in kept
             if e[0] in changed and _edge_problem(components, linking, names, own, e)
         }
         kept -= bad
-        for a, b in bad:
-            own[b].discard(a)
         changed = {b for _, b in bad}
     return frozenset(kept)
 
@@ -566,22 +567,80 @@ def _subtract(m, cols, written, i, c, vector) -> None:
             cols[j].discard(i)
 
 
+def _clear_unit_pivots(m, cols) -> int:
+    """Pivot on +-1 entries until none is left; return how many were used.
+
+    ``m`` and ``cols`` are ``_smith_diagonal``'s sparse rows and column
+    index, changed in place.  A heap holds only the +-1 entries, keyed by
+    their fill: the nonzeros in their row plus those in their column.  A
+    pivot p at (pi, pj) is dropped with its row and column, and m[i][pj]
+    * p times the rest of its row is subtracted from each other row i of
+    the column.  That is its column pass; its row pass would clear the
+    rest of its row without touching any other row.  Only the new +-1
+    entries a subtraction wrote are pushed, and an item whose entry is
+    gone or no longer +-1 is skipped.
+    """
+    units = [
+        (len(row) + len(cols[j]), i, j)
+        for i, row in m.items()
+        for j, v in row.items()
+        if v == 1 or v == -1
+    ]
+    heapify(units)
+    count = 0
+    while units:
+        _, pi, pj = heappop(units)
+        prow = m.get(pi)
+        p = prow and prow.get(pj)
+        if p != 1 and p != -1:
+            continue
+        del m[pi], prow[pj]
+        column = cols.pop(pj)
+        column.discard(pi)
+        for j in prow:
+            cols[j].discard(pi)
+        for i in column:
+            row = m[i]
+            q = row.pop(pj) * p
+            fresh = []
+            for j, v in prow.items():
+                w = row.get(j, 0) - q * v
+                if w:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = w
+                    if w == 1 or w == -1:
+                        fresh.append(j)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            for j in fresh:
+                heappush(units, (len(row) + len(cols[j]), i, j))
+        count += 1
+    return count
+
+
 def _smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
     Each row is a ``{column: value}`` dict of the row's nonzero entries
-    (zero values are ignored, and the rows are not changed).  First
-    diagonalize by sparse elimination, with a col -> rows index: each
-    pivot is a least-|value| entry, ties going to the fewest nonzeros in
-    its row and column.  A unit pivot clears its column by row operations
-    and is dropped with its row, whose other entries a column pass would
-    clear without touching any other row (Dumas, Saunders and Villard,
-    J. Symb. Comput. 32, 2001, start with these pivots too).  Any other
-    pivot reduces its column and row modulo itself, which leaves
-    remainders only in that row and column, so the next pivot is sought
-    there until both are clear; then |p| is recorded and they are
-    dropped.  Then make the diagonal a divisor chain, since diag(a, b)
-    has Smith form diag(gcd, lcm).
+    (zero values are ignored, and the rows are not changed).  Elimination
+    works on copies of the rows with a col -> rows index, in two phases.
+
+    First the +-1 pivots, least fill first (``_clear_unit_pivots``): each
+    clears its column, is dropped with its row and adds a 1 to the
+    diagonal, until no +-1 entry is left.  Dumas, Saunders and Villard
+    (J. Symb. Comput. 32, 2001) also begin sparse Smith forms with these
+    pivots.  On a Kirby presentation this leaves a small dense core.
+
+    Then the core is diagonalized by Euclid steps: each pivot is a
+    least-|value| entry, ties going to the fewest nonzeros in its row and
+    column.  A unit pivot that a remainder makes is cleared as in the
+    first phase.  Any other pivot reduces its column and row modulo
+    itself, which leaves remainders only in that row and column, so the
+    next pivot is sought there until both are clear; then |p| is recorded
+    and they are dropped.  Last the diagonal is made a divisor chain,
+    since diag(a, b) has Smith form diag(gcd, lcm).
     """
     m = {}
     cols: dict[int, set[int]] = {}
@@ -591,6 +650,7 @@ def _smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
             m[i] = row
             for j in row:
                 cols.setdefault(j, set()).add(i)
+    ones = _clear_unit_pivots(m, cols)
     # candidate pivots (|value|, row + column nonzeros, i, j), pushed after
     # each pivot for the entries it wrote; stale items are skipped
     heap = [(abs(v), len(row) + len(cols[j]), i, j) for i, row in m.items() for j, v in row.items()]
@@ -635,7 +695,7 @@ def _smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
         for j in range(i + 1, len(torsion)):
             g = gcd(torsion[i], torsion[j])
             torsion[i], torsion[j] = g, torsion[i] // g * torsion[j]
-    return [1] * (len(diag) - len(torsion)) + torsion
+    return [1] * (ones + len(diag) - len(torsion)) + torsion
 
 
 def h1(p: SurgeryPresentation) -> Homology:
@@ -643,29 +703,28 @@ def h1(p: SurgeryPresentation) -> Homology:
 
     Row i of the presentation matrix is q_i * linking(i, .) with diagonal
     p_i, for coefficient p_i/q_i; components with infinite coefficient are
-    erased first, with their rows and columns.  Each row goes to
-    ``_smith_diagonal`` as a dict built from the nonzeros of its linking
-    row alone.
+    erased, with their rows and columns.  Each row goes to
+    ``_smith_diagonal`` as a dict built in one pass over the nonzeros of
+    its linking row, keyed by component index, from which the columns of
+    erased components are then dropped.  There the +-1 entries, the chain
+    links and meridians, are pivoted away first, and Euclid steps finish
+    the small core that is left.
     """
-    coeffs = [coeff for _, coeff, _ in p.components]
-    keep = [i for i, coeff in enumerate(coeffs) if coeff is not INF]
-    if not keep:
-        return Homology((), 0)
-    position = dict(zip(keep, range(len(keep))))
+    components = p.components
+    erased = [i for i, (_, coeff, _) in enumerate(components) if coeff is INF]
+    columns = range(len(components))
     rows = []
-    for i in keep:
-        coeff = coeffs[i]
+    for i, ((_, coeff, _), linking) in enumerate(zip(components, p.linking)):
+        if coeff is INF:
+            continue
         q = coeff.denominator
-        linking = p.linking[i]
-        row = {
-            position[j]: q * linking[j]
-            for j in compress(range(len(linking)), linking)
-            if j in position
-        }
-        row[position[i]] = coeff.numerator
+        row = {j: q * linking[j] for j in compress(columns, linking)}
+        row[i] = coeff.numerator
+        for j in erased:
+            row.pop(j, None)
         rows.append(row)
     diag = _smith_diagonal(rows)
-    return Homology(tuple(d for d in diag if d > 1), len(keep) - len(diag))
+    return Homology(tuple(d for d in diag if d > 1), len(rows) - len(diag))
 
 
 def apply_move(p: SurgeryPresentation, move: tuple) -> SurgeryPresentation:

@@ -100,6 +100,10 @@ def test_markov_stabilize_destabilize_round_trip():
         markov_destabilize(b)  # last letter reused elsewhere
     with pytest.raises(ValueError):
         markov_destabilize(BraidWord(3, (2, 1, 2)))
+    with pytest.raises(ValueError, match=r"^stabilization sign must be \+1 or -1$"):
+        markov_stabilize(b, 2)
+    with pytest.raises(ValueError, match="^nothing to destabilize$"):
+        markov_destabilize(BraidWord(2, ()))
 
 
 def test_free_reduce_cyclic_wraps_around():
@@ -207,6 +211,21 @@ def test_ttk_braid_contract_errors():
         TwistedTorusSpec(2, 3, 2, 0)  # s = 0
     with pytest.raises(ValueError, match="gttk"):
         ttk_braid(TwistedTorusSpec(3, 2, 5, 1))  # r > p needs the general form
+    # both specs check their torus base alike
+    for spec in (lambda p, q: TwistedTorusSpec(p, q, 2, 1), GeneralizedTTKSpec):
+        with pytest.raises(ValueError, match="^p must be >= 2, got 1$"):
+            spec(1, 3)
+        with pytest.raises(ValueError, match="^q must be nonzero$"):
+            spec(3, 0)
+
+
+def test_gttk_spec_contract_errors():
+    with pytest.raises(ValueError, match="^first strand must be >= 1, got 0$"):
+        TwistRegion(0, 2, 1)
+    with pytest.raises(ValueError, match="^twist count must be nonzero$"):
+        TwistRegion(1, 2, 0)
+    with pytest.raises(ValueError, match="^unknown op 'twist'$"):
+        GeneralizedTTKSpec(2, 3, ("twist",))
 
 
 def test_gttk_braid_frozen_word():

@@ -33,6 +33,14 @@ def test_gen_unknown_op(capsys):
     assert code == 1 and "unknown op" in err
 
 
+def test_gen_without_arguments(capsys):
+    # argparse asks for one argument; a library caller can pass none
+    out = io.StringIO()
+    assert cli.cmd_gen(cli.RunConfig(24, 12, False), [], out) == 1
+    assert not out.getvalue()
+    assert capsys.readouterr().err == "error: expected 'ttk p q r s' or 'gttk p q [ops...]'\n"
+
+
 def test_jones_rows(capsys):
     code, out, err = run(
         capsys, "jones", "trefoil=2: 1 1 1", "1:", "hopf=2: 1 1"

@@ -101,6 +101,9 @@ def test_dt_code_validation():
         parse_dt("4 6 3")  # odd entry
     with pytest.raises(ValueError):
         parse_dt("4 6 x")
+    for text in ("", "k: "):
+        with pytest.raises(ValueError, match="^empty code$"):
+            parse_dt(text)
 
 
 def test_dt_matches_grid_oracle_on_random_knots():

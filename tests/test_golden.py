@@ -22,6 +22,11 @@ The cases cover every subcommand:
 * ``homology`` and ``kirby`` on ``p.pres``: a chain expanded and
   slam-dunked back (``s.kirby``), and blow-ups, a blow-down that prints
   its note and a slide (``blowup.kirby``);
+* ``kirby`` at the benchmark's scale, in the shape of its ``kirby_chain``
+  workload: ``chain60.pres`` holds four integer-framed components under
+  random linking, each with a rational meridian, and ``chain60.kirby``
+  expands the four into chains of 14 (60 components), slides four
+  times and slam-dunks every chain back; its H1 has a 72-bit order;
 * one-line errors: bad braid items for ``jones``, ``fingerprint`` and
   ``dt``, each of ``gen``'s argument errors, bad slopes for ``cfrac``
   (one of them an empty argument), a bad presentation line, a failing

@@ -106,6 +106,8 @@ def test_jones_row_rejects_a_values_it_cannot_show():
         with pytest.raises(ValueError, match="^an A-tagged row needs even exponents"):
             format_jones_row(None, LaurentPoly(VAR_A, bad))
     assert format_jones_row(None, LaurentPoly(VAR_A, {0: 1, 4: 1})) == "span=(-2/2,0/2) coeffs=[1,1]"
+    with pytest.raises(ValueError, match="^zero polynomial has no span$"):
+        format_jones_row(None, LaurentPoly(VAR_A, {}))
 
 
 def test_determinant_values():

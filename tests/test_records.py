@@ -208,6 +208,14 @@ def test_package_import_leaves_surgery_for_its_commands():
     assert proc.stdout == "False\n[] True\nTrue False\n"
 
 
+def test_dir_lists_every_export_in_process():
+    # the fresh interpreter above checks dir() before surgery loads; this
+    # runs the module's __dir__ where the statement gate sees it
+    listed = dir(twistlink)
+    assert listed == sorted(listed)
+    assert set(twistlink.__all__) | {"surgery"} <= set(listed)
+
+
 def test_transfer_and_fractions_load_at_first_use(tmp_path):
     # compiling transfer.py or surgery.py and importing fractions (which
     # loads decimal) cost milliseconds at start-up; each fresh interpreter

@@ -600,6 +600,54 @@ def test_smith_diagonal_unit_pivots_beside_other_entries():
         assert rows == before
 
 
+@st.composite
+def unit_rich_matrices(draw):
+    """Small sparse integer matrices, most entries 0 or +-1.
+
+    Some get a +-1 that only fill-in makes: a unit p at (i, j) beside a at
+    (i, c), and b at (k, j) beside a * b * p +- 1 at (k, c), where a and b
+    are not units, so clearing column j leaves +-1 at (k, c).  Some are
+    made singular: a row becomes the sum or difference of two others, or
+    a column is zeroed.
+    """
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 1, -1, 2, -3, 4])
+    m = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    if nr > 1 and nc > 1 and draw(st.booleans()):
+        i, k = draw(st.permutations(range(nr)))[:2]
+        j, c = draw(st.permutations(range(nc)))[:2]
+        p = m[i][j] = draw(st.sampled_from([1, -1]))
+        a = m[i][c] = draw(st.sampled_from([2, -2, 3]))
+        b = m[k][j] = draw(st.sampled_from([2, -3]))
+        m[k][c] = a * b * p + draw(st.sampled_from([1, -1]))
+    singular = draw(st.sampled_from([None, "row", "column"]))
+    if singular == "row" and nr > 2:
+        r, x, y = draw(st.permutations(range(nr)))[:3]
+        sign = draw(st.sampled_from([1, -1]))
+        m[r] = [u + sign * v for u, v in zip(m[x], m[y])]
+    elif singular == "column":
+        c = draw(st.integers(0, nc - 1))
+        for row in m:
+            row[c] = 0
+    return m
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(unit_rich_matrices(), st.data())
+def test_smith_diagonal_on_unit_rich_matrices_and_their_permutations(m, data):
+    # the unit-pivot phase and the Euclid loop after it give the invariant
+    # factors, whatever order the rows and columns come in
+    factors = invariant_factors(m)
+    rows = sparse(m)
+    before = [dict(row) for row in rows]
+    assert _smith_diagonal(rows) == factors
+    assert rows == before
+    order = data.draw(st.permutations(range(len(m))))
+    columns = data.draw(st.permutations(range(len(m[0]))))
+    permuted = [[m[i][j] for j in columns] for i in order]
+    assert _smith_diagonal(sparse(permuted)) == factors
+
+
 def test_h1_matches_determinantal_divisors():
     rng = random.Random(8128)
     for _ in range(150):
