@@ -548,23 +548,30 @@ class Homology(NamedTuple):
         return " + ".join(parts) if parts else "trivial"
 
 
-def _subtract(m, cols, written, i, c, vector) -> None:
-    """Row i -= c * vector in a sparse matrix, keeping the column index.
+def _subtract(m, cols, i, c, vector) -> list[int]:
+    """Row i -= c * vector; return the columns where it wrote a new +-1.
 
-    c and every value of vector are nonzero, so an entry that comes out
-    zero was already stored.
+    ``m`` and ``cols`` are ``_smith_diagonal``'s sparse rows and column
+    index, kept in step.  c and every value of vector are nonzero, so an
+    entry that comes out zero was already stored.  A row that comes out
+    empty is dropped from ``m``, so every row left there has a pivot.
     """
     row = m[i]
+    units = []
     for j, v in vector.items():
         w = row.get(j, 0) - c * v
         if w:
             if j not in row:
                 cols[j].add(i)
             row[j] = w
-            written.add((i, j))
+            if w == 1 or w == -1:
+                units.append(j)
         else:
             del row[j]
             cols[j].discard(i)
+    if not row:
+        del m[i]
+    return units
 
 
 def _clear_unit_pivots(m, cols) -> int:
@@ -573,12 +580,12 @@ def _clear_unit_pivots(m, cols) -> int:
     ``m`` and ``cols`` are ``_smith_diagonal``'s sparse rows and column
     index, changed in place.  A heap holds only the +-1 entries, keyed by
     their fill: the nonzeros in their row plus those in their column.  A
-    pivot p at (pi, pj) is dropped with its row and column, and m[i][pj]
-    * p times the rest of its row is subtracted from each other row i of
-    the column.  That is its column pass; its row pass would clear the
-    rest of its row without touching any other row.  Only the new +-1
-    entries a subtraction wrote are pushed, and an item whose entry is
-    gone or no longer +-1 is skipped.
+    pivot p at (pi, pj) is dropped with its row and column, and
+    ``_subtract`` takes m[i][pj] * p times the rest of its row from each
+    other row i of the column.  That is its column pass; its row pass
+    would clear the rest of its row without touching any other row.  The
+    +-1 entries each subtraction wrote are pushed, and an item whose entry
+    is gone or no longer +-1 is skipped.
     """
     units = [
         (len(row) + len(cols[j]), i, j)
@@ -600,22 +607,9 @@ def _clear_unit_pivots(m, cols) -> int:
         for j in prow:
             cols[j].discard(pi)
         for i in column:
-            row = m[i]
-            q = row.pop(pj) * p
-            fresh = []
-            for j, v in prow.items():
-                w = row.get(j, 0) - q * v
-                if w:
-                    if j not in row:
-                        cols[j].add(i)
-                    row[j] = w
-                    if w == 1 or w == -1:
-                        fresh.append(j)
-                else:
-                    del row[j]
-                    cols[j].discard(i)
-            for j in fresh:
-                heappush(units, (len(row) + len(cols[j]), i, j))
+            q = m[i].pop(pj) * p
+            for j in _subtract(m, cols, i, q, prow):
+                heappush(units, (len(m[i]) + len(cols[j]), i, j))
         count += 1
     return count
 
@@ -625,22 +619,24 @@ def _smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
 
     Each row is a ``{column: value}`` dict of the row's nonzero entries
     (zero values are ignored, and the rows are not changed).  Elimination
-    works on copies of the rows with a col -> rows index, in two phases.
+    works on copies of the rows with a col -> rows index, in two phases
+    that make every row update through ``_subtract``.
 
     First the +-1 pivots, least fill first (``_clear_unit_pivots``): each
     clears its column, is dropped with its row and adds a 1 to the
     diagonal, until no +-1 entry is left.  Dumas, Saunders and Villard
     (J. Symb. Comput. 32, 2001) also begin sparse Smith forms with these
-    pivots.  On a Kirby presentation this leaves a small dense core.
+    pivots.  On a Kirby presentation this leaves a small core.
 
-    Then the core is diagonalized by Euclid steps: each pivot is a
-    least-|value| entry, ties going to the fewest nonzeros in its row and
-    column.  A unit pivot that a remainder makes is cleared as in the
-    first phase.  Any other pivot reduces its column and row modulo
-    itself, which leaves remainders only in that row and column, so the
-    next pivot is sought there until both are clear; then |p| is recorded
-    and they are dropped.  Last the diagonal is made a divisor chain,
-    since diag(a, b) has Smith form diag(gcd, lcm).
+    Then a plain Euclid loop diagonalizes the core.  Each round starts
+    from a row with the fewest nonzeros and its least-|value| entry, ties
+    going to the column with the fewest nonzeros.  The pivot reduces its
+    column and row modulo itself, which leaves remainders only in that row
+    and column, so the next pivot is the least of them until both are
+    clear; then |p| is recorded and they are dropped.  A +-1 that a
+    remainder makes takes the same path, clearing its column and row in
+    one round.  Last the diagonal is made a divisor chain, since
+    diag(a, b) has Smith form diag(gcd, lcm).
     """
     m = {}
     cols: dict[int, set[int]] = {}
@@ -651,29 +647,21 @@ def _smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
             for j in row:
                 cols.setdefault(j, set()).add(i)
     ones = _clear_unit_pivots(m, cols)
-    # candidate pivots (|value|, row + column nonzeros, i, j), pushed after
-    # each pivot for the entries it wrote; stale items are skipped
-    heap = [(abs(v), len(row) + len(cols[j]), i, j) for i, row in m.items() for j, v in row.items()]
-    heapify(heap)
     diag = []
-    while heap:
-        size, _, pi, pj = heappop(heap)
-        prow = m.get(pi)
-        if prow is None or abs(prow.get(pj, 0)) != size:
-            continue
-        written = set()
+    while m:
+        pi = min(m, key=lambda i: len(m[i]))
+        prow = m[pi]
+        pj = min(prow, key=lambda j: (abs(prow[j]), len(cols[j])))
         while True:
             p = prow[pj]
             for i in cols[pj] - {pi}:
                 q = m[i][pj] // p
                 if q:
-                    _subtract(m, cols, written, i, q, prow)
-            if abs(p) == 1:
-                break
+                    _subtract(m, cols, i, q, prow)
             quotients = {j: q for j, v in prow.items() if j != pj and (q := v // p)}
             if quotients:
                 for i in list(cols[pj]):
-                    _subtract(m, cols, written, i, m[i][pj], quotients)
+                    _subtract(m, cols, i, m[i][pj], quotients)
             if len(prow) == 1 and len(cols[pj]) == 1:
                 break
             # remainders are left only in the pivot's row and column
@@ -682,14 +670,8 @@ def _smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
                 + [(abs(m[i][pj]), len(m[i]) + len(cols[pj]), i, pj) for i in cols[pj] if i != pi]
             )[2:]
             prow = m[pi]
-        del m[pi], cols[pj], prow[pj]
-        for j in prow:  # the rest of a unit pivot's row
-            cols[j].discard(pi)
+        del m[pi], cols[pj]
         diag.append(abs(p))
-        for i, j in written:
-            v = m.get(i, {}).get(j)
-            if v:
-                heappush(heap, (abs(v), len(m[i]) + len(cols[j]), i, j))
     torsion = [d for d in diag if d > 1]  # a 1 already divides every entry
     for i in range(len(torsion)):
         for j in range(i + 1, len(torsion)):

@@ -3,6 +3,7 @@ import random
 import re
 import typing
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -501,6 +502,25 @@ def test_h1_invariant_factor_chain():
     assert h1(p) == Homology((2, 4), 0)
 
 
+def test_h1_of_many_unlinked_unknots():
+    # 300 diagonal 2s: no unit pivot, and 300 rounds of the Euclid loop
+    p = presentation([(f"u{i}", 2, True) for i in range(300)])
+    assert h1(p) == Homology((2,) * 300, 0)
+
+
+def test_h1_of_a_long_unit_free_chain():
+    # each 5/2-framed unknot links the next once: rows 2 * linking with 5 on
+    # the diagonal, a banded matrix with no +-1 entry, whose H1 is cyclic
+    n = 60
+    names = [f"c{i}" for i in range(n)]
+    p = presentation(
+        [(name, "5/2", True) for name in names],
+        {(a, b): 1 for a, b in zip(names, names[1:])},
+    )
+    m = [[5 if i == j else 2 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+    assert h1(p) == Homology((abs(det_bareiss(m)),), 0)
+
+
 def random_matrix(rng, rows, cols):
     bound = rng.choice([2, 6, 40])
     density = rng.random()
@@ -574,6 +594,37 @@ def test_smith_diagonal_on_sparse_matrices_with_large_entries():
         assert rows == before
 
 
+def test_smith_diagonal_on_wide_unit_free_cores():
+    # with no +-1 entry the unit phase does nothing, so the Euclid loop gets
+    # the whole matrix, wider than invariant_factors can check
+    rng = random.Random(3141)
+    tried = 0
+    for n in range(7, 13):
+        for density in (0.3, 0.5, 0.9) * 4:
+            # a single value makes d1 that value, not 1
+            values = rng.choice([(2, 3, 5), (2, 3, 5), (2,), (3,)])
+            m = [
+                [rng.choice(values) * rng.choice([1, -1]) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)
+            ]
+            det = det_bareiss(m)
+            if det == 0:
+                continue
+            tried += 1
+            rows = sparse(m)
+            before = [dict(row) for row in rows]
+            factors = _smith_diagonal(rows)
+            assert rows == before
+            assert len(factors) == n
+            product = 1
+            for d in factors:
+                product *= d
+            assert product == abs(det), m
+            assert factors[0] == gcd(*(v for row in m for v in row)), m
+            assert all(b % a == 0 for a, b in zip(factors, factors[1:])), m
+    assert tried >= 40
+
+
 def test_smith_diagonal_unit_pivots_beside_other_entries():
     # a unit whose row and column hold other entries, placed so that
     # clearing its column leaves a new unit in another row
@@ -581,6 +632,10 @@ def test_smith_diagonal_unit_pivots_beside_other_entries():
         [[1, 2], [1, 3]],
         [[1, 4, 6], [2, 9, 12], [3, 12, 20]],
         [[-1, 5, 0], [0, 1, 7], [3, 0, 1]],
+        # clearing the first unit empties the second row
+        [[1, 1], [1, 1]],
+        [[1, 2], [2, 4]],
+        [[-1, 3], [2, -6]],
     ]
     rng = random.Random(4181)
     randoms = []
