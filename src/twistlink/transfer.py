@@ -3,8 +3,7 @@
 Each braid letter is represented in the Temperley-Lieb algebra TL_n as
 sigma_i -> A + A^-1 e_i (inverse letters swap A and A^-1), acting on a
 vector indexed by crossingless matchings of the 2n boundary points.  The
-closure is taken with the Markov trace: a matching closing into k loops
-contributes delta^(k-1).
+closure is taken with the Markov trace, one strand at a time.
 
 Before it is read the word is changed twice, and neither change moves
 the bracket.  A letter is cancelled against a later inverse when every
@@ -21,13 +20,16 @@ so as soon as no later letter touches the leftmost or the rightmost
 strand, that strand is closed: its top and bottom points, neighbours on
 the boundary, are joined in every entry's matching, a closed loop folds
 in as a factor delta, equal matchings merge, and the call goes on in
-the basis of TL_(n-1) with the generators renumbered.  A strand that no
-letter touches closes before the first letter into a loop of its own,
-which is counted at the end.  Each strand a later letter needs stays
-open, so two or more are open whenever one closes.  Cancelling keeps a
-stack of live letters per generator, and the closing times are running
-maxima of each generator's last position, so both are linear in the
-word length.
+the basis of TL_(n-1) with the generators renumbered.  Before the last
+letter, each strand a later letter needs stays open, so two or more are
+open whenever one closes.  After the last letter the strands close in
+the same way until one is left, whose one matching holds the bracket.
+A strand that no letter touches closes before the first letter into a
+loop of its own: the f such strands multiply the bracket by delta^f at
+the end, its binomials packed in one pass, and a word with no letter
+leaves one strand open and n - 1 idle.  Cancelling keeps a stack of live
+letters per generator, and the closing times are running maxima of each
+generator's last position, so both are linear in the word length.
 
 Coefficients are packed by Kronecker substitution (von zur Gathen &
 Gerhard, *Modern Computer Algebra*, ch. 8).  Every exponent in the
@@ -50,9 +52,9 @@ An int is the value of its slot polynomial at 2^width, and every step
 is a ring operation, so intermediate slots may overflow and borrow
 freely; only the final bracket has to fit its slots to decode.  Measure
 a vector by the sum of the absolute values of all its coefficients.  A
-letter at most doubles it (the curl term keeps it), closing one strand
-at most doubles it (delta has measure 2, and merging only adds), and
-the closure of the k strands left multiplies it by at most 2^(k-1), so
+letter at most doubles it (the curl term keeps it), and closing one
+strand at most doubles it (delta has measure 2, and merging only adds),
+the factor delta of an idle strand too.  A call closes n - 1 strands, so
 every coefficient of the bracket of a c-letter word on n strands is at
 most 2^(c+n-1) in absolute value.  The bound is on the word that is
 read, so c counts the letters left after cancelling, and ``slot_width``
@@ -77,23 +79,19 @@ width) - v_l``.  A letter g < 0 leaves every other entry as it is and
 gives l the value ``(sum << width) - (v_l << 2 * width)``.  A letter so
 costs a shift per id and an add per preimage, with no dict lookups.
 
-The matchings, the images of e_j, the closures of end strands and the
-closure loop counts do not depend on the word, so a run keeps them from
-one call to the next in a ``Tables`` object: per strand count, the
-matchings it has reached by run id, the run id of each image a call has
-looked up, where closing the leftmost or the rightmost strand takes each
-id a call has closed, and the loop count of each id a call has ended
-nonzero on.  The values, ``low``, the width, the idle lists and the loop
-tables stay with the call.  A call numbers the matchings it reaches in
-its own order, anew after each closure, so that its vector covers those
-alone however many the run knows, and maps its ids to run ids to look
-up images, closures and loop counts; only what the run does not know
-yet costs ``apply_e`` or ``close_strand`` and a lookup of the matching
-it gives.  The first call on a strand count, when the run knows nothing
-but the identity, takes the run ids as its own and keeps no images
-until it closes a strand, which spares a single call the mapping and
-the stores; the calls after it fill the images in.  A library call
-given no tables starts from fresh ones.
+The matchings, the images of e_j and the closures of end strands do not
+depend on the word, so a run keeps them from one call to the next in a
+``Tables`` object: per strand count, the matchings it has reached by run
+id, the run id of each image a call has looked up, and where closing the
+leftmost or the rightmost strand takes each id a call has closed.  The
+values, ``low``, the width, the idle lists and the loop tables stay with
+the call.  Every call numbers the matchings it reaches in its own order,
+anew after each closure, so that its vector covers those alone however
+many the run knows, and maps its ids to run ids to look up images and
+closures; only what the run does not know yet costs ``apply_e`` or
+``close_strand`` and a lookup of the matching it gives, and what it
+costs is stored for the calls after it.  A library call given no tables
+starts from fresh ones.
 
 This module shares no skein code with the state-sum route.
 """
@@ -144,23 +142,6 @@ def close_strand(m: tuple[int, ...], n: int, left: bool) -> tuple[tuple[int, ...
     return tuple([y - drop if y > p else y for y in out]), a == q
 
 
-def closure_loops(m: tuple[int, ...], n: int) -> int:
-    """Loops formed when the trace closure joins top point i to bottom i."""
-    seen = [False] * (2 * n)
-    loops = 0
-    for start in range(2 * n):
-        if seen[start]:
-            continue
-        loops += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            y = m[x]
-            seen[y] = True
-            x = 2 * n - 1 - y  # matching edge, then closure edge
-    return loops
-
-
 def slot_width(crossings: int, strands: int) -> int:
     """Bits per packed coefficient: c+n for |coefficient| <= 2^(c+n-1), one for the sign."""
     return crossings + strands + 1
@@ -197,27 +178,25 @@ class Tables:
 
     For each strand count n: the matchings the run has reached and their
     run ids, the run id of e_j of every run id whose image a call has
-    looked up, the closure loop count of every run id on which a call
-    has ended nonzero, and where closing an end strand sends every run
-    id a call has closed.  Nothing else is kept.  A tables object takes
-    no lock, so it belongs to one thread.
+    looked up, and where closing an end strand sends every run id a call
+    has closed.  Nothing else is kept.  A tables object takes no lock, so
+    it belongs to one thread.
     """
 
     def __init__(self) -> None:
-        # n -> (matchings, ids, images, loops, closes).  images[j][r] is
-        # the run id of e_j of run id r, r itself when e_j closes a loop
-        # there, and loops[r] the closure loop count of r.  closes[0][r]
-        # and closes[1][r] are 2 r' + loop for closing the rightmost and
-        # the leftmost strand of r, with r' the run id of the result on
-        # n - 1 strands and loop 1 when a loop closed.  None or past the
-        # end of its list is not known yet.
-        self.bases: dict[int, tuple[list, dict, list[list], list, tuple[list, list]]] = {}
+        # n -> (matchings, ids, images, closes).  images[j][r] is the run
+        # id of e_j of run id r, r itself when e_j closes a loop there.
+        # closes[0][r] and closes[1][r] are 2 r' + loop for closing the
+        # rightmost and the leftmost strand of r, with r' the run id of the
+        # result on n - 1 strands and loop 1 when a loop closed.  None or
+        # past the end of its list is not known yet.
+        self.bases: dict[int, tuple[list, dict, list[list], tuple[list, list]]] = {}
 
-    def basis(self, n: int) -> tuple[list, dict, list[list], list, tuple[list, list]]:
+    def basis(self, n: int) -> tuple[list, dict, list[list], tuple[list, list]]:
         basis = self.bases.get(n)
         if basis is None:
             start = identity_matching(n)
-            basis = self.bases[n] = ([start], {start: 0}, [[] for _ in range(n)], [], ([], []))
+            basis = self.bases[n] = ([start], {start: 0}, [[] for _ in range(n)], ([], []))
         return basis
 
 
@@ -303,9 +282,9 @@ def _rotated(letters: list[int], n: int) -> tuple[list[int], list[int], list[int
 def bracket(b: BraidWord, tables: Tables | None = None) -> LaurentPoly:
     """Kauffman bracket of the closure of ``b``, normalized to <unknot> = 1.
 
-    ``tables`` carries the matchings, e_j images, closures and closure
-    loop counts of earlier calls in the same run; without it the call
-    starts from fresh tables.  Raises RuntimeError if the decoded
+    ``tables`` carries the matchings, e_j images and end-strand closures
+    of earlier calls in the same run, and gets this call's; without it
+    the call starts from fresh tables.  Raises RuntimeError if the decoded
     bracket fails the check at A = 1 or at A = e^(i pi/3).
     """
     n = b.strands
@@ -314,22 +293,20 @@ def bracket(b: BraidWord, tables: Tables | None = None) -> LaurentPoly:
     curl = 2 * width
     tables = Tables() if tables is None else tables
     # Strands no letter touches close before the first letter, each into
-    # a loop of its own, and are counted at the end.
+    # a loop of its own, and are counted at the end; an empty word leaves
+    # one strand open.
     left = right = 0  # strands closed at each end
     if word:
         while lefts[left] < 0:
             left += 1
         while rights[right] < 0:
             right += 1
-    free = left + right
+    free = left + right if word else n - 1
     k = n - free
-    matchings, ids, images, loop_counts, closes = tables.basis(k)
+    matchings, ids, images, closes = tables.basis(k)
     # The call numbers the matchings in the order it reaches them, so that
     # its vector covers those alone; run_of and local map between these
-    # call ids and run ids.  Until its first closure, a call on a strand
-    # count that the run has reached nothing on takes the run ids as its
-    # own (``fresh``) and looks up no images.
-    fresh = len(matchings) == 1
+    # call ids and run ids.
     run_of, local = [0], {0: 0}
     # pre[j][l]: the ids that e_j sends to l, for every l in which e_j
     # closes a loop.  It covers the ids below known[j] except those in
@@ -350,20 +327,6 @@ def bracket(b: BraidWord, tables: Tables | None = None) -> LaurentPoly:
                     continue
                 if not vec[m]:
                     idle[j].append(m)
-                    continue
-                if fresh:
-                    source = matchings[m]
-                    target = apply_e(source, j, k)
-                    if target is source:
-                        table.setdefault(m, [])
-                        continue
-                    m2 = ids.get(target)
-                    if m2 is None:
-                        matchings.append(target)
-                        m2 = ids[target] = len(matchings) - 1
-                        run_of.append(m2)
-                        vec.append(0)
-                    table.setdefault(m2, []).append(m)
                     continue
                 r = run_of[m]
                 t = image[r]
@@ -406,8 +369,9 @@ def bracket(b: BraidWord, tables: Tables | None = None) -> LaurentPoly:
                 bits = drop * width
                 vec = [v >> bits for v in vec]
                 low += 2 * drop
-        # close each end strand that no later letter touches
-        while step < len(word) and (lefts[left] < step or rights[right] < step):
+        # close each end strand that no later letter touches, and after
+        # the last letter every strand but one
+        while k > 1 and (lefts[left] < step or rights[right] < step):
             side = lefts[left] < step  # True for the leftmost strand
             left += side
             right += not side
@@ -433,31 +397,11 @@ def bracket(b: BraidWord, tables: Tables | None = None) -> LaurentPoly:
                 if m == len(vec):
                     vec.append(0)
                 vec[m] += -(v << curl) - v if t & 1 else v << width * looped
-            run_of, fresh = list(local), False
-            matchings, ids, images, loop_counts, closes = basis
+            run_of = list(local)
+            matchings, ids, images, closes = basis
             pre, known, idle = [{} for _ in range(k)], [0] * k, [[] for _ in range(k)]
 
-    loop_counts += [None] * (len(matchings) - len(loop_counts))
-    by_loops: dict[int, int] = {}
-    for m, v in enumerate(vec):
-        if v:
-            r = run_of[m]
-            loops = loop_counts[r]
-            if loops is None:
-                loops = loop_counts[r] = closure_loops(matchings[r], k)
-            by_loops[loops + free] = by_loops.get(loops + free, 0) + v
-    # Horner's rule over the loop counts, highest first, so that each delta
-    # power is built and multiplied once per gap between counts: after
-    # count l, packed holds the sum over l' >= l of v_l' delta^(l'-l),
-    # with slot 0 at A^(low - 2 (top - l))
-    levels = sorted(by_loops, reverse=True)
-    top = prev = levels[0] if levels else 1
-    packed = 0
-    for loops in levels:
-        packed = packed * _packed_delta_power(prev - loops, width) + (
-            by_loops[loops] << (top - loops) * width
-        )
-        prev = loops
-    packed *= _packed_delta_power(prev - 1, width)
-    table = unpack(packed, low - 2 * (top - 1), width)
+    # one strand is left, with one matching; each idle strand is a loop
+    (packed,) = vec
+    table = unpack(packed * _packed_delta_power(free, width), low - 2 * free, width)
     return check_bracket(table, b.writhe(), _cycle_count(b.permutation()), width, "transfer")

@@ -484,6 +484,30 @@ def test_transfer_tables_shared_or_fresh_give_equal_brackets():
         assert jones_tl(b, limit=b.strands, tables=run) == jones(d, limit=len(d.crossings), tables=run)
 
 
+def test_transfer_second_call_on_shared_tables_computes_nothing(monkeypatch):
+    # every call, the first on a strand count too, leaves the e_j images and
+    # closures it computed in the tables, so a word run again looks all of
+    # them up
+    calls = []
+
+    def counted(inner):
+        def call(*args):
+            calls.append(args)
+            return inner(*args)
+
+        return call
+
+    monkeypatch.setattr(transfer, "apply_e", counted(transfer.apply_e))
+    monkeypatch.setattr(transfer, "close_strand", counted(transfer.close_strand))
+    for b in (torus_braid(4, 5), parse_braid("6: 1 2 3 4 5 -3 2 1 4 -5 3 2 -1 4 3 -2 5 1")):
+        tables = transfer.Tables()
+        first = transfer.bracket(b, tables)
+        assert calls
+        calls.clear()
+        assert transfer.bracket(b, tables) == first
+        assert calls == [], b
+
+
 def test_run_tables_build_the_transfer_tables_once():
     run = RunTables()
     assert "transfer" not in vars(run)  # not built until it is read
