@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, TextIO
+from typing import TextIO
 
 from .braid import (
     BraidWord,
@@ -34,17 +34,6 @@ from .jones import (
     jones,
     jones_tl,
 )
-
-if TYPE_CHECKING:  # bound on first use by _bind_surgery
-    from .surgery import (
-        cfrac_expand,
-        h1,
-        kirby_reduce,
-        parse_presentation,
-        parse_script,
-        parse_slope,
-        render_presentation,
-    )
 
 # Only kirby, homology and cfrac use surgery, so the other commands never
 # compile surgery.py: these names become globals of this module when one

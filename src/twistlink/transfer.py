@@ -71,13 +71,15 @@ which e_j closes a loop, so each generator j keeps, for the length of a
 call, a table from each such loop id l to the ids that e_j sends to l.
 The table is extended when a letter starts, over the ids reached since
 its last extension; an id whose entry is zero then waits for a later
-letter, because e_j of it would only add ids that stay zero, and an id
-that is already in the table is a loop id with nothing to add.  A letter
-g > 0 is one list comprehension for the identity term ``v << 2 * width``,
-after which each loop id l gets ``(sum of its preimages' values <<
-width) - v_l``.  A letter g < 0 leaves every other entry as it is and
-gives l the value ``(sum << width) - (v_l << 2 * width)``.  A letter so
-costs a shift per id and an add per preimage, with no dict lookups.
+letter, because e_j of it would only add ids that stay zero.  Every
+other id has its image looked up: an id that e_j sends to itself is a
+loop id, and gets an empty entry unless a preimage gave it one already,
+and any other id joins the preimages of its image.  A letter g > 0 is
+one list comprehension for the identity term ``v << 2 * width``, after
+which each loop id l gets ``(sum of its preimages' values << width) -
+v_l``.  A letter g < 0 leaves every other entry as it is and gives l
+the value ``(sum << width) - (v_l << 2 * width)``.  A letter so costs a
+shift per id and an add per preimage, with no dict lookups.
 
 The matchings, the images of e_j and the closures of end strands do not
 depend on the word, so a run keeps them from one call to the next in a
@@ -323,8 +325,6 @@ def bracket(b: BraidWord, tables: Tables | None = None) -> LaurentPoly:
             image = images[j]
             image += [None] * (len(matchings) - len(image))
             for m in todo:
-                if m in table:  # an image of e_j: e_j closes a loop there
-                    continue
                 if not vec[m]:
                     idle[j].append(m)
                     continue

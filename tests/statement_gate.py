@@ -15,9 +15,8 @@ statements are the ``ast`` statements that compile to at least one
 instruction, so function docstrings and ``global`` lines are not among
 them.  A statement ran if a line of its head ran: all of a simple
 statement, or a compound statement's lines before its body (a ``def``
-line runs when its module is imported).  A statement that did not run
-and is not in ``ALLOWED`` fails the session, and so does an entry of
-``ALLOWED`` that names no such statement, so the list cannot go stale.
+line runs when its module is imported).  Any statement that did not run
+fails the session, so one that no test can run has to be deleted.
 
 Only the pytest process is traced, so code that runs only in a child
 process, such as ``python -m twistlink``, is counted as not run.  The
@@ -33,17 +32,6 @@ import threading
 from pathlib import Path
 
 import pytest
-
-# (module file, enclosing def or class, first line of the statement, why
-# no test runs it); "item N" is an open item of ROADMAP.md
-_TL = "item 10: no word reaches this TL branch; a proof deletes it, or a counterexample tests it"
-ALLOWED = (
-    ("cli.py", "", "from .surgery import (", "the TYPE_CHECKING import, for type checkers"),
-    ("cli.py", "", "sys.exit(main())", "the __main__ guard: the console script calls main"),
-    ("transfer.py", "apply_e", "return m", _TL),
-    ("transfer.py", "bracket", "table.setdefault(m, [])", _TL),
-    ("transfer.py", "bracket", "continue", _TL),
-)
 
 _package = Path(importlib.util.find_spec("twistlink").submodule_search_locations[0]).resolve()
 _ran: dict[str, set[int]] = {}
@@ -119,16 +107,9 @@ def pytest_configure():
 def pytest_sessionfinish(session):
     sys.settrace(None)
     threading.settrace(None)
-    missed = unreached()
-    allowed = {entry[:3] for entry in ALLOWED}
     _report.extend(
         f"not run by any test: {name}:{line} ({scope or 'module'}): {text}"
-        for name, line, scope, text in missed
-        if (name, scope, text) not in allowed
-    )
-    _report.extend(
-        f"allowed but run, or gone: {name} ({scope or 'module'}): {text}"
-        for name, scope, text in sorted(allowed - {(n, s, t) for n, _, s, t in missed})
+        for name, line, scope, text in unreached()
     )
     if _report:
         session.exitstatus = pytest.ExitCode.TESTS_FAILED
@@ -136,5 +117,5 @@ def pytest_sessionfinish(session):
 
 def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("statement gate")
-    for line in _report or ["every statement of twistlink ran, or is allowed"]:
+    for line in _report or ["every statement of twistlink ran"]:
         terminalreporter.write_line(line)

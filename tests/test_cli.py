@@ -408,6 +408,17 @@ def test_module_entry_point_exits_with_mains_code(capsys, monkeypatch):
     assert expected[0] == 0 and expected[1]
 
 
+def test_cli_module_entry_point_exits_with_mains_code(capsys, monkeypatch):
+    # what python -m twistlink.cli runs, in process for the same reason;
+    # runpy warns that it runs a second copy of a module this file imported
+    monkeypatch.setattr(sys, "argv", ["twistlink", "cfrac", "2/7"])
+    with pytest.raises(SystemExit) as stop:
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"):
+            runpy.run_module("twistlink.cli", run_name="__main__")
+    assert stop.value.code == 0
+    assert capsys.readouterr() == ("[1,2,2,3]\n", "")
+
+
 def test_fingerprint_groups(capsys):
     code, out, err = run(
         capsys,

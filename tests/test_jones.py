@@ -508,6 +508,31 @@ def test_transfer_second_call_on_shared_tables_computes_nothing(monkeypatch):
         assert calls == [], b
 
 
+def test_apply_e_returns_its_input_exactly_when_it_closes_a_loop():
+    # bracket reads a result that is its input as a loop on the same id, so
+    # the identity must mean a closed loop, and every other result must be
+    # a new matching on which e_j then closes one; the search reaches every
+    # crossingless matching of 2n points, Catalan(n) of them
+    for n, catalan in zip(range(1, 6), (1, 2, 5, 14, 42)):
+        start = transfer.identity_matching(n)
+        seen, todo = {start}, [start]
+        while todo:
+            m = todo.pop()
+            for j in range(1, n):
+                p, q = 2 * n - j - 1, 2 * n - j
+                out = transfer.apply_e(m, j, n)
+                assert all(out[out[x]] == x != out[x] for x in range(2 * n))
+                if m[p] == q:
+                    assert out is m
+                else:
+                    assert out != m and out[p] == q
+                    assert transfer.apply_e(out, j, n) is out
+                if out not in seen:
+                    seen.add(out)
+                    todo.append(out)
+        assert len(seen) == catalan, n
+
+
 def test_run_tables_build_the_transfer_tables_once():
     run = RunTables()
     assert "transfer" not in vars(run)  # not built until it is read
