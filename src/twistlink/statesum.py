@@ -41,9 +41,9 @@ call: they live in a ``Tables`` object that the run passes to each call,
 and each call, such as the next item of a batch, reuses the moves that
 earlier calls of the run computed.  Only the values, ``low`` and the
 slot width belong to one call, and a call given no tables starts from
-fresh ones.  The tables' lock is held for each call, so that two
-threads never give two keys one id.  Nothing is evicted while the run
-lasts, and all of it is freed with the tables object when the run ends.
+fresh ones.  A tables object takes no lock, so it belongs to one
+thread.  Nothing is evicted while the run lasts, and all of it is freed
+with the tables object when the run ends.
 
 Values.  The value of a key is one Python int whose signed slots of
 ``width`` bits hold the coefficients of a polynomial in A, one A^2
@@ -63,26 +63,28 @@ A^+-1 * delta^L lands on whole slots at or above slot 0.  That drop
 depends on the sign, so a shape keeps one for each.  The slots that are
 then zero in every entry are shifted out at the next crossing.
 
-Width.  An int is the value of its slot polynomial at 2^width, and every
-step is a ring operation, so the result is exact as long as no slot
-overflows.  Measure the frontier by the sum of the absolute values of
-all coefficients of all its values.  A crossing sends each value v to
-A * delta^L_A * v and A^-1 * delta^L_B * v, and the coefficients of
-delta^L add up to 2^L in absolute value, so the measure grows by at most
-2^m_A + 2^m_B, which is the same for either sign.  The bound holds at
-each crossing whatever was glued before it, so in any order every
-coefficient, intermediate or final, is at most the product ``growth`` of
-these factors (at most 8^c), which ``slot_width`` holds with a sign bit.
-The guards of ``poly.check_bracket`` test only the decoded bracket,
-against values every link has, so they too hold in any order;
-``bracket`` raises RuntimeError if either fails.
+Width.  Every step is a ring operation on exact ints, and a shift to
+the right drops only zero bits, so the int ``_contract`` returns is the
+value at 2^width of its true slot polynomial, whatever the coefficients
+on the way; it decodes exactly when each final coefficient fits a
+signed slot.  That polynomial is the product, over the pieces, of each
+piece's bracket before the delta power.  By Thistlethwaite's
+spanning-tree expansion, the bracket of a connected diagram of c_i
+crossings is a sum of one monomial +-A^k per spanning tree of its Tait
+graph, which has c_i edges, so its coefficients add up to at most
+2^(c_i) in absolute value.  A piece that is a split union of k parts
+carries delta^(k-1), whose coefficients add up to 2^(k-1).  There are at
+most mu parts in all, mu the link's component count, and the bound is
+multiplicative, so every coefficient is at most 2^(c+mu-1) in absolute
+value, which ``slot_width`` holds with a sign bit.  The guards of
+``poly.check_bracket`` test only the decoded bracket, against values
+every link has; ``bracket`` raises RuntimeError if either fails.
 
 This module shares no skein code with the Temperley-Lieb route.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import reduce
 from operator import or_
 
@@ -90,9 +92,9 @@ from .diagram import PlanarDiagram, writhe
 from .poly import LaurentPoly, check_bracket, unpack
 
 
-def slot_width(growth: int) -> int:
-    """Bits per packed coefficient: enough for |coefficient| <= growth, one more for the sign."""
-    return growth.bit_length() + 1
+def slot_width(crossings: int, components: int) -> int:
+    """Bits per packed coefficient: c+mu for |coefficient| <= 2^(c+mu-1), one for the sign."""
+    return crossings + components + 1
 
 
 def _gluing_order(arcs: list[tuple[int, int, int, int]]) -> list[int]:
@@ -157,7 +159,7 @@ def _gluing_order(arcs: list[tuple[int, int, int, int]]) -> list[int]:
 
 
 def _shape(f: int, labels: tuple[int, ...]) -> tuple:
-    """Moves cache, joins, next frontier, growth bound and drops of one crossing shape."""
+    """Moves cache, joins, next frontier and drops of one crossing shape."""
     il, ir, ol, orr = labels
     # an arc is known here if it is open or meets this crossing twice
     i, j, k, m = known = [x < f or labels.count(x) > 1 for x in labels]
@@ -182,24 +184,21 @@ def _shape(f: int, labels: tuple[int, ...]) -> tuple:
         max(2 * most_ident - 1, 2 * most_cupcap + 1),
     )
     joins = (((il, ol), (ir, orr)), ((il, ir), (ol, orr)))
-    return {}, joins, kept, newpos, (1 << most_ident) + (1 << most_cupcap), drops
+    return {}, joins, kept, newpos, drops
 
 
 class Tables:
     """The shape tables and key ids of one run (see Keys above).
 
-    ``shapes`` maps a shape to (moves, joins, kept, newpos, growth,
-    drops), where moves maps a key id to [key id, loops] of the identity
-    followed by those of the cup-cap, and ``keys`` and ``ids`` intern the
-    keys.  ``lock`` is held
-    for each call, so that two threads never give two keys one id.
+    ``shapes`` maps a shape to (moves, joins, kept, newpos, drops),
+    where moves maps a key id to [key id, loops] of the identity followed
+    by those of the cup-cap, and ``keys`` and ``ids`` intern the keys.
     """
 
     def __init__(self) -> None:
         self.shapes: dict[tuple, tuple] = {}
         self.keys: list[tuple[int, ...]] = [()]
         self.ids: dict[tuple[int, ...], int] = {(): 0}
-        self.lock = threading.Lock()
 
 
 def _contract(d: PlanarDiagram, tables: Tables) -> tuple[int, int, int, int]:
@@ -210,7 +209,6 @@ def _contract(d: PlanarDiagram, tables: Tables) -> tuple[int, int, int, int]:
     arcs = [c[1:] for c in crossings]
     plan = []
     frontier: list[int] = []
-    growth = 1
     for t in _gluing_order(arcs):
         quad = arcs[t]
         f = len(frontier)
@@ -222,13 +220,12 @@ def _contract(d: PlanarDiagram, tables: Tables) -> tuple[int, int, int, int]:
         plan.append((f, crossings[t][0] > 0, entry))
         kept = entry[2]
         frontier = [frontier[i] if i < f else quad[i - f] for i in kept]
-        growth *= entry[4]
 
-    width = slot_width(growth)
+    width = slot_width(len(crossings), len(d.components))
     curl = 2 * width
     states = {0: 1}
     low = spare = pieces = 0
-    for f, positive, (moves, joins, kept, newpos, _, drops) in plan:
+    for f, positive, (moves, joins, kept, newpos, drops) in plan:
         ends_piece = not kept  # its last loop goes to ``pieces``, not to the values
         pieces += ends_piece
         drop = drops[positive]
@@ -319,8 +316,7 @@ def bracket(d: PlanarDiagram, tables: Tables | None = None) -> LaurentPoly:
     """
     if tables is None:
         tables = Tables()
-    with tables.lock:
-        packed, low, width, pieces = _contract(d, tables)
+    packed, low, width, pieces = _contract(d, tables)
     table = unpack(packed, low, width)
     extra = len(d.free_loops) + pieces - 1
     if extra:

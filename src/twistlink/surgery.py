@@ -8,6 +8,13 @@ is downgraded conservatively whenever a move could knot a component; the
 declared meridian structure is what lets the common reductions (Rolfsen
 twists along a chain) keep their flags.
 
+The linking matrix is kept sparse: ``linking[i]`` is the tuple of
+(j, lk(i, j)) pairs of component i's nonzero linking numbers, columns
+ascending, so lk(a, b) is the value paired with b's index in a's row,
+or 0 if there is none.  The rows are symmetric and store no zero and no
+diagonal pair.  A move rewrites only the rows it changes; deleting a
+component renumbers every column after it, in O(nonzeros).
+
 A meridian edge (a, b) requires a unknotted with lk(a, b) = +-1 and zero
 linking elsewhere, except that a may link components that are themselves
 declared meridians of a; that exception is what allows chains, where each
@@ -25,9 +32,10 @@ the only module of the package that imports ``fractions``, which loads
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import compress
+from itertools import count
 from math import gcd
 from typing import NamedTuple, Union
 
@@ -91,21 +99,21 @@ class Component(NamedTuple):
 class SurgeryPresentation(
     checked_record("SurgeryPresentation", "components linking meridian_edges")
 ):
-    """Components, their symmetric linking matrix and meridian edges, checked when built."""
+    """Components, their linking rows (see above) and meridian edges, checked when built."""
 
     __slots__ = ()
 
     def __new__(
         cls,
         components: tuple[Component, ...],
-        linking: tuple[tuple[int, ...], ...],
+        linking: tuple[tuple[tuple[int, int], ...], ...],
         meridian_edges: frozenset[tuple[str, str]],
     ):
+        linking = tuple(tuple(map(tuple, row)) for row in linking)
         self = super().__new__(cls, components, linking, meridian_edges)
         for c in components:
             _check_name(c.name)
-        for row in linking:
-            _check_linking(row)
+        _check_linking(x for row in linking for pair in row for x in pair)
         if len({c.name for c in components}) != len(components):
             raise ValueError("component names must be distinct")
         self._check_matrix(range(len(components)))
@@ -118,30 +126,33 @@ class SurgeryPresentation(
         return self
 
     def _check_matrix(self, rows) -> None:
-        """Check the size, zero diagonal and symmetry of the given rows and their columns.
+        """Check the given rows' pairs, rows ascending, then each pair's mirror.
 
-        The rows go in ascending order.  Row i is compared with column i
-        except where a row still to come will compare the same pair, so
-        given every row this finds the first bad row of the matrix, and
-        given a few it reads O(k) entries per row.
+        A row's columns must be in range and ascend, with no zero and no
+        diagonal pair; a pair (j, v) of row i needs (i, v) in row j.
         """
-        linking = self.linking
-        k = len(self.components)
-        if len(linking) != k or any(len(linking[i]) != k for i in rows):
+        linking, k = self.linking, len(self.components)
+        if len(linking) != k:
             raise ValueError("linking matrix size must match component count")
         rows = sorted(rows)
-        to_come = set(rows)
         for i in rows:
-            row = linking[i]
-            if row[i] != 0:
-                raise ValueError("linking diagonal must be zero")
-            to_come.discard(i)
-            column = [other[i] for other in linking]
-            # the scan runs only when some pair differs
-            if list(row) != column and any(
-                row[j] != column[j] for j in range(k) if j not in to_come
-            ):
-                raise ValueError("linking matrix must be symmetric")
+            last = -1
+            for j, v in linking[i]:
+                if not 0 <= j < k:
+                    raise ValueError("linking matrix size must match component count")
+                if j <= last:
+                    raise ValueError("linking columns must ascend")
+                if not v:
+                    raise ValueError("linking rows must store no zero")
+                if j == i:
+                    raise ValueError("linking diagonal must be zero")
+                last = j
+        for i in rows:
+            for j, v in linking[i]:
+                row = linking[j]
+                at = bisect_left(row, (i,))
+                if row[at : at + 1] != ((i, v),):
+                    raise ValueError("linking matrix must be symmetric")
 
     def index(self, name: str) -> int:
         for i, c in enumerate(self.components):
@@ -153,7 +164,7 @@ class SurgeryPresentation(
         return self.components[self.index(name)]
 
     def lk(self, a: str, b: str) -> int:
-        return self.linking[self.index(a)][self.index(b)]
+        return dict(self.linking[self.index(a)]).get(self.index(b), 0)
 
 
 def _check_name(name) -> None:
@@ -167,7 +178,7 @@ def _check_name(name) -> None:
 
 
 def _check_linking(values) -> None:
-    """Reject a linking value that is not an int; a bool would render as True."""
+    """Reject a linking value or column that is not an int; a bool would render as True."""
     for v in values:
         if type(v) is not int:
             raise TypeError(f"linking values must be int, got {type(v).__name__} {v!r}")
@@ -192,10 +203,11 @@ def _edge_problem(components, linking, names, own, edge) -> str | None:
     if not components[ia].unknotted:
         return "meridian must be unknotted"
     row = linking[ia]
-    if abs(row[names[b]]) != 1:
+    ib = names[b]
+    if (ib, 1) not in row and (ib, -1) not in row:
         return "meridian must link its target exactly once"
     mine = own.get(a, ())
-    for j in compress(range(len(row)), row):
+    for j, _ in row:
         name = components[j].name
         if name != b and name not in mine:
             return f"meridian links stray component {name!r}"
@@ -217,7 +229,7 @@ def presentation(
     linking: dict[tuple[str, str], int] | None = None,
     meridians: list[tuple[str, str]] | None = None,
 ) -> SurgeryPresentation:
-    """Convenience builder taking sparse linking entries."""
+    """Convenience builder taking linking entries by name; a 0 entry stores nothing."""
     comps = tuple(
         Component(name, coeff if coeff is INF else parse_slope(str(coeff)), bool(unk))
         for name, coeff, unk in components
@@ -226,14 +238,39 @@ def presentation(
     entries: dict[tuple[str, str], int] = {}
     for (a, b), v in (linking or {}).items():
         _add_linking(entries, idx, a, b, v)
-    k = len(comps)
-    mat = [[0] * k for _ in range(k)]
+    _check_linking(entries.values())
+    rows: list[list[tuple[int, int]]] = [[] for _ in comps]
     for (a, b), v in entries.items():
-        mat[idx[a]][idx[b]] = v
-        mat[idx[b]][idx[a]] = v
-    return SurgeryPresentation(
-        comps, tuple(tuple(row) for row in mat), frozenset(meridians or ())
-    )
+        for i, j in {(idx[a], idx[b]), (idx[b], idx[a])} if v else ():
+            rows[i].append((j, v))
+    return SurgeryPresentation(comps, map(sorted, rows), frozenset(meridians or ()))
+
+
+def _drop_column(rows, c: int) -> list[tuple[tuple[int, int], ...]]:
+    """``rows`` without column c, each later column one lower."""
+    out = []
+    for row in rows:
+        if not row or row[-1][0] < c:
+            out.append(row)
+        elif row[0][0] > c:
+            out.append(tuple([(j - 1, v) for j, v in row]))
+        else:
+            at = bisect_left(row, (c,))
+            rest = row[at + 1 :] if row[at][0] == c else row[at:]
+            out.append(row[:at] + tuple([(j - 1, v) for j, v in rest]))
+    return out
+
+
+def _merged(row, changes) -> tuple[tuple[int, int], ...]:
+    """The pairs of ``row`` with those of ``changes`` set over them; 0 leaves no pair."""
+    return tuple(sorted((j, v) for j, v in {**dict(row), **dict(changes)}.items() if v))
+
+
+def _add_outer(rows, support, scale: int) -> None:
+    """lk(i, j) += scale * v * w in ``rows`` for each two pairs (i, v), (j, w) of ``support``."""
+    for i, v in support:
+        row = dict(rows[i])
+        rows[i] = _merged(row, [(j, row.get(j, 0) + scale * v * w) for j, w in support if j != i])
 
 
 def _prune_edges(components, linking, edges, changed) -> frozenset[tuple[str, str]]:
@@ -265,14 +302,13 @@ def _rebuild(components, linking, edges, changed) -> SurgeryPresentation:
 
     ``changed`` names each component whose linking row or unknotted flag
     the move changed, and the target of each meridian edge the move
-    dropped.  Only their rows and columns are checked, and only the edges
-    out of them, with the cascade of ``_prune_edges``; every new edge must
-    leave one of them.  That is enough because an edge (a, b) depends only
-    on a's flag, a's row and a's own meridians, and a row that lost only
-    the columns of deleted components lost at most stray links.  So a
-    slam-dunk, which deletes a meridian linking nothing but its target,
-    names only the target: no other row changes, and no other edge can
-    break.
+    dropped.  Only their rows are checked, each pair against its mirror,
+    and only the edges out of them, with the cascade of ``_prune_edges``;
+    every new edge must leave one of them.  That is enough because an edge
+    (a, b) depends only on a's flag, a's row and a's own meridians, and a
+    row that lost only the pairs of deleted components lost at most stray
+    links.  So a slam-dunk, whose meridian links nothing but its target,
+    names only the target, though every row has its columns renumbered.
     """
     mat = tuple(map(tuple, linking))
     comps = tuple(components)
@@ -297,45 +333,34 @@ def blow_down(p: SurgeryPresentation, name: str) -> SurgeryPresentation:
     if not is_integral(c.coefficient) or abs(c.coefficient) != 1:
         raise ValueError(f"blow-down needs coefficient +1 or -1, got {format_slope(c.coefficient)}")
     eps = int(c.coefficient)
-    lk_c = [p.linking[i][ci] for i in range(len(p.components))]
-    for i, comp in enumerate(p.components):
-        if i == ci or lk_c[i] == 0 or comp.coefficient is INF:
-            continue
-        if not is_integral(comp.coefficient):
-            raise ValueError(
-                f"cannot blow down through {comp.name!r}: rational coefficient "
-                f"{format_slope(comp.coefficient)} with nonzero linking"
-            )
-
-    keep = [i for i in range(len(p.components)) if i != ci]
-    exempt = {
-        other
-        for a, b in p.meridian_edges
-        for other in ((a,) if b == name else (b,) if a == name else ())
-    }
-    comps = []
-    for i in keep:
-        comp = p.components[i]
-        coeff = comp.coefficient
-        if lk_c[i] and coeff is not INF:
-            coeff = coeff - eps * lk_c[i] ** 2
-        unknotted = comp.unknotted and (lk_c[i] == 0 or comp.name in exempt)
-        comps.append(comp._replace(coefficient=coeff, unknotted=unknotted))
-    mat = [
-        [row[j] - eps * lk_c[i] * lk_c[j] if i != j else 0 for j in keep]
-        for i, row in enumerate(p.linking)
-        if i != ci
-    ]
-
-    edges = {e for e in p.meridian_edges if name not in e}
+    lk_c = p.linking[ci]
     sources = [a for a, b in p.meridian_edges if b == name]
     targets = [b for a, b in p.meridian_edges if a == name]
+    exempt = {*sources, *targets}
+    comps = list(p.components)
+    for i, v in lk_c:
+        comp = comps[i]
+        coeff = comp.coefficient
+        if coeff is not INF:
+            if not is_integral(coeff):
+                raise ValueError(
+                    f"cannot blow down through {comp.name!r}: rational coefficient "
+                    f"{format_slope(coeff)} with nonzero linking"
+                )
+            coeff -= eps * v * v
+        comps[i] = comp._replace(coefficient=coeff, unknotted=comp.unknotted and comp.name in exempt)
+    del comps[ci]
+    rows = list(p.linking)
+    _add_outer(rows, lk_c, -eps)
+    del rows[ci]
+
+    edges = {e for e in p.meridian_edges if name not in e}
     if len(sources) == 1 and targets:
         edges.add((sources[0], targets[0]))
     # the neighbors hold every changed row and flag; a re-aimed edge and
     # each dropped edge's target are among them, since each links c
-    changed = {p.components[i].name for i in keep if lk_c[i]}
-    return _rebuild(comps, mat, edges, changed)
+    changed = {p.components[i].name for i, _ in lk_c}
+    return _rebuild(comps, _drop_column(rows, ci), edges, changed)
 
 
 def blow_up(
@@ -351,31 +376,27 @@ def blow_up(
     _check_linking(links_to)
     if name is None:
         taken = {c.name for c in p.components}
-        k = 1
-        while f"u{k}" in taken:
-            k += 1
-        name = f"u{k}"
+        name = next(f"u{k}" for k in count(1) if f"u{k}" not in taken)
     else:
         _check_name(name)
         if any(c.name == name for c in p.components):
             raise ValueError(f"component name {name!r} already in use")
-    comps = []
-    for comp, v in zip(p.components, links_to):
-        coeff = comp.coefficient
-        if v and coeff is not INF:
-            coeff = coeff + eps * v * v
-        comps.append(comp._replace(coefficient=coeff))
+    support = [(i, v) for i, v in enumerate(links_to) if v]
+    comps = list(p.components)
+    for i, v in support:
+        comp = comps[i]
+        if comp.coefficient is not INF:
+            comps[i] = comp._replace(coefficient=comp.coefficient + eps * v * v)
     comps.append(Component(name, Fraction(eps), True))
     k = len(p.components)
-    mat = [
-        [row[j] + eps * links_to[i] * links_to[j] if i != j else 0 for j in range(k)]
-        + [links_to[i]]
-        for i, row in enumerate(p.linking)
-    ]
-    mat.append(list(links_to) + [0])
-    changed = {comp.name for comp, v in zip(p.components, links_to) if v}
+    rows = list(p.linking)
+    _add_outer(rows, support, eps)
+    for i, v in support:
+        rows[i] += ((k, v),)
+    rows.append(tuple(support))
+    changed = {comps[i].name for i, _ in support}
     changed.add(name)
-    return _rebuild(comps, mat, p.meridian_edges, changed)
+    return _rebuild(comps, rows, p.meridian_edges, changed)
 
 
 def blow_down_axis(b: BraidWord, first: int, width: int, coeff: Slope) -> BraidWord:
@@ -417,15 +438,15 @@ def slam_dunk(p: SurgeryPresentation, meridian: str, target: str) -> SurgeryPres
         raise ValueError("meridian coefficient 0 cannot be slam-dunked")
     else:
         coeff = n - 1 / r
-    keep = [i for i in range(len(p.components)) if i != mi]
-    comps = [
-        p.components[i]._replace(coefficient=coeff) if i == ti else p.components[i] for i in keep
-    ]
-    mat = [row[:mi] + row[mi + 1 :] for i, row in enumerate(p.linking) if i != mi]
+    comps = list(p.components)
+    comps[ti] = comps[ti]._replace(coefficient=coeff)
+    del comps[mi]
+    rows = list(p.linking)
+    del rows[mi]
     # the meridian links only its target, and (meridian, target) is its
     # only edge, so only the target's row changes
     edges = {e for e in p.meridian_edges if meridian not in e}
-    return _rebuild(comps, mat, edges, {target})
+    return _rebuild(comps, _drop_column(rows, mi), edges, {target})
 
 
 def handle_slide(p: SurgeryPresentation, i_name: str, j_name: str, sign: int) -> SurgeryPresentation:
@@ -438,26 +459,23 @@ def handle_slide(p: SurgeryPresentation, i_name: str, j_name: str, sign: int) ->
     ni, nj = p.components[i].coefficient, p.components[j].coefficient
     if not (is_integral(ni) and is_integral(nj)):
         raise ValueError("handle slides need integer coefficients on both components")
-    k = len(p.components)
-    mat = [list(row) for row in p.linking]
-    for x in range(k):
-        if x not in (i, j):
-            mat[i][x] += sign * p.linking[j][x]
-            mat[x][i] = mat[i][x]
-    mat[i][j] += sign * int(nj)
-    mat[j][i] = mat[i][j]
-    coeff = ni + nj + 2 * sign * p.linking[i][j]
-    comps = [
-        c._replace(coefficient=coeff, unknotted=False) if x == i else c
-        for x, c in enumerate(p.components)
-    ]
+    lk_i = dict(p.linking[i])
+    new = [(x, lk_i.get(x, 0) + sign * v) for x, v in p.linking[j] if x != i]
+    new.append((j, lk_i.get(j, 0) + sign * int(nj)))
+    rows = list(p.linking)
+    rows[i] = _merged(lk_i, new)
+    for x, v in new:
+        rows[x] = _merged(rows[x], [(i, v)])
+    coeff = ni + nj + 2 * sign * lk_i.get(j, 0)
+    comps = list(p.components)
+    comps[i] = comps[i]._replace(coefficient=coeff, unknotted=False)
     edges = {e for e in p.meridian_edges if e[0] != i_name}
     # row i changes where row j is nonzero, and so do those rows and row j;
     # i's edges all go, and each of their targets loses a meridian
-    changed = {c.name for c, v in zip(p.components, p.linking[j]) if v}
+    changed = {p.components[x].name for x, _ in p.linking[j]}
     changed |= {i_name, j_name}
     changed |= {b for a, b in p.meridian_edges if a == i_name}
-    return _rebuild(comps, mat, edges, changed)
+    return _rebuild(comps, rows, edges, changed)
 
 
 class ContinuedFraction(checked_record("ContinuedFraction", "terms")):
@@ -516,20 +534,15 @@ def rational_to_chain(p: SurgeryPresentation, name: str) -> SurgeryPresentation:
     comps = list(p.components)
     comps[ci] = comps[ci]._replace(coefficient=Fraction(terms[0]))
     comps += [Component(f, Fraction(a), True) for f, a in zip(fresh, terms[1:])]
+    # each link of the chain links the one before it and the one after
     k = len(p.components)
-    total = k + len(fresh)
-    mat = [[0] * total for _ in range(total)]
-    for i, row in enumerate(p.linking):
-        mat[i][:k] = row
-    chain = [ci] + list(range(k, total))
-    for a, b in zip(chain, chain[1:]):
-        mat[a][b] = mat[b][a] = 1
-    edges = set(p.meridian_edges)
-    prev = name
-    for f in fresh:
-        edges.add((f, prev))
-        prev = f
-    return _rebuild(comps, mat, edges, {name, *fresh})
+    chain = [ci, *range(k, k + len(fresh)), None]
+    rows = list(p.linking)
+    rows[ci] += ((k, 1),)
+    for before, after in zip(chain, chain[2:]):
+        rows.append(((before, 1), (after, 1)) if after is not None else ((before, 1),))
+    edges = p.meridian_edges | set(zip(fresh, [name, *fresh]))
+    return _rebuild(comps, rows, edges, {name, *fresh})
 
 
 class Homology(NamedTuple):
@@ -684,28 +697,27 @@ def h1(p: SurgeryPresentation) -> Homology:
     """First homology of the surgered manifold via Smith normal form.
 
     Row i of the presentation matrix is q_i * linking(i, .) with diagonal
-    p_i, for coefficient p_i/q_i; components with infinite coefficient are
-    erased, with their rows and columns.  Each row goes to
-    ``_smith_diagonal`` as a dict built in one pass over the nonzeros of
-    its linking row, keyed by component index, from which the columns of
-    erased components are then dropped.  There the +-1 entries, the chain
-    links and meridians, are pivoted away first, and Euclid steps finish
-    the small core that is left.
+    p_i, for coefficient p_i/q_i; components of slope inf are erased with
+    their rows and columns.  Each row goes to ``_smith_diagonal`` as a
+    dict built straight from its linking pairs, and an erased component's
+    own pairs name the rows that hold its column.  There the +-1 entries,
+    the chain links and meridians, are pivoted away first, and Euclid
+    steps finish the small core that is left.
     """
-    components = p.components
-    erased = [i for i, (_, coeff, _) in enumerate(components) if coeff is INF]
-    columns = range(len(components))
-    rows = []
-    for i, ((_, coeff, _), linking) in enumerate(zip(components, p.linking)):
+    components, linking = p.components, p.linking
+    rows = {}
+    erased = []
+    for i, ((_, coeff, _), pairs) in enumerate(zip(components, linking)):
         if coeff is INF:
+            erased.append(i)
             continue
         q = coeff.denominator
-        row = {j: q * linking[j] for j in compress(columns, linking)}
+        row = rows[i] = dict(pairs) if q == 1 else {j: q * v for j, v in pairs}
         row[i] = coeff.numerator
-        for j in erased:
-            row.pop(j, None)
-        rows.append(row)
-    diag = _smith_diagonal(rows)
+    for i in erased:
+        for j, _ in linking[i]:
+            rows.get(j, {}).pop(i, None)
+    diag = _smith_diagonal(list(rows.values()))
     return Homology(tuple(d for d in diag if d > 1), len(rows) - len(diag))
 
 
@@ -762,11 +774,8 @@ def kirby_reduce(
         try:
             if move[0] == "blowdown":
                 ci = current.index(move[1])
-                if any(abs(row[ci]) >= 2 for row in current.linking):
-                    note = (
-                        "a strand passes the deleted unknot more than once; "
-                        "writhe not tracked"
-                    )
+                if any(abs(v) >= 2 for _, v in current.linking[ci]):
+                    note = "a strand passes the deleted unknot more than once; writhe not tracked"
             after = apply_move(current, move)
         except ValueError as exc:
             raise ValueError(f"step {k} ({render_move(move)}): {exc}") from exc
@@ -776,16 +785,8 @@ def kirby_reduce(
                 f"step {k} ({render_move(move)}) changed H1 from "
                 f"{invariant.render()} to {step_h1.render()}; this is a bug"
             )
-        steps.append(
-            TraceStep(
-                render_move(move),
-                len(current.components),
-                len(after.components),
-                step_h1,
-                after,
-                note,
-            )
-        )
+        sizes = len(current.components), len(after.components)
+        steps.append(TraceStep(render_move(move), *sizes, step_h1, after, note))
         current = after
     return current, KirbyTrace(invariant, tuple(steps))
 
@@ -796,11 +797,10 @@ def render_presentation(p: SurgeryPresentation) -> str:
     for name, coeff, unknotted in components:
         lines.append(f"{name} {format_slope(coeff)} {1 if unknotted else 0}")
     names = [name for name, _, _ in components]
-    for i, row in enumerate(linking):
-        for j in compress(range(i + 1, len(row)), row[i + 1 :]):
-            lines.append(f"lk {names[i]} {names[j]} {row[j]}")
-    for a, b in sorted(edges):
-        lines.append(f"meridian {a} {b}")
+    lines += [
+        f"lk {names[i]} {names[j]} {v}" for i, row in enumerate(linking) for j, v in row if j > i
+    ]
+    lines += [f"meridian {a} {b}" for a, b in sorted(edges)]
     return "\n".join(lines)
 
 

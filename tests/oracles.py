@@ -417,7 +417,12 @@ def coloring_determinant(strands: int, letters: tuple[int, ...]) -> int:
 # Reference version of the full rebuild after a Kirby move
 
 
-def _edge_problem(components, linking, names, own, edge) -> str | None:
+def pair_rows(mat) -> tuple:
+    """The rows of a dense linking matrix as the (column, value) pairs of their nonzeros."""
+    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in mat)
+
+
+def _edge_problem(components, mat, names, own, edge) -> str | None:
     a, b = edge
     if a not in names or b not in names:
         return "unknown component"
@@ -426,7 +431,7 @@ def _edge_problem(components, linking, names, own, edge) -> str | None:
     ia = names[a]
     if not components[ia].unknotted:
         return "meridian must be unknotted"
-    row = linking[ia]
+    row = mat[ia]
     if abs(row[names[b]]) != 1:
         return "meridian must link its target exactly once"
     mine = own.get(a, ())
@@ -439,13 +444,35 @@ def _edge_problem(components, linking, names, own, edge) -> str | None:
 def rebuild(components, linking, edges) -> tuple:
     """(components, linking, kept edges) of a move's result, every edge and row checked.
 
-    Prunes the largest subset of edges that are all valid against that
-    subset, re-checking every edge after each drop, then checks the whole
-    linking matrix with the package's messages.
+    ``linking`` holds each row's (column, value) pairs.  Checks the whole
+    matrix with the package's messages, on a dense copy: columns in range
+    and ascending, no zero or diagonal pair, symmetric.  Then prunes the
+    largest subset of edges that are all valid against that subset,
+    re-checking every edge after each drop.
     """
     comps = tuple(components)
-    mat = tuple(tuple(row) for row in linking)
+    rows = tuple(tuple(tuple(pair) for pair in row) for row in linking)
     names = {c.name: i for i, c in enumerate(comps)}
+    k = len(comps)
+    if len(names) != k:
+        raise ValueError("component names must be distinct")
+    if len(rows) != k:
+        raise ValueError("linking matrix size must match component count")
+    mat = [[0] * k for _ in range(k)]
+    for i, row in enumerate(rows):
+        columns = [j for j, _ in row]
+        if any(not 0 <= j < k for j in columns):
+            raise ValueError("linking matrix size must match component count")
+        if columns != sorted(set(columns)):
+            raise ValueError("linking columns must ascend")
+        if any(v == 0 for _, v in row):
+            raise ValueError("linking rows must store no zero")
+        for j, v in row:
+            mat[i][j] = v
+        if mat[i][i] != 0:
+            raise ValueError("linking diagonal must be zero")
+    if any(mat[i][j] != mat[j][i] for i in range(k) for j in range(i)):
+        raise ValueError("linking matrix must be symmetric")
     kept = set(edges)
     while True:
         own: dict[str, set[str]] = {}
@@ -455,14 +482,4 @@ def rebuild(components, linking, edges) -> tuple:
         if not bad:
             break
         kept -= bad
-    k = len(comps)
-    if len(names) != k:
-        raise ValueError("component names must be distinct")
-    if len(mat) != k or any(len(row) != k for row in mat):
-        raise ValueError("linking matrix size must match component count")
-    for i, row in enumerate(mat):
-        if row[i] != 0:
-            raise ValueError("linking diagonal must be zero")
-        if any(row[j] != mat[j][i] for j in range(i)):
-            raise ValueError("linking matrix must be symmetric")
-    return comps, mat, frozenset(kept)
+    return comps, rows, frozenset(kept)

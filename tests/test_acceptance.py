@@ -110,7 +110,8 @@ def weighted_matrix(p):
     rows = []
     for row_pos, i in enumerate(idx):
         coeff = p.components[i].coefficient
-        row = [coeff.denominator * p.linking[i][j] for j in idx]
+        lk = dict(p.linking[i])
+        row = [coeff.denominator * lk.get(j, 0) for j in idx]
         row[row_pos] = coeff.numerator
         rows.append(row)
     return rows
@@ -144,9 +145,10 @@ def test_criterion_3_blow_down_rules_and_determinant():
                 for c in p.components
             ]
             linking = {
-                (p.components[i].name, p.components[j].name): p.linking[i][j]
-                for i in range(k)
-                for j in range(i + 1, k)
+                (p.components[i].name, p.components[j].name): v
+                for i, row in enumerate(p.linking)
+                for j, v in row
+                if i < j
             }
             p = presentation(comps, linking)
             before = det_bareiss(weighted_matrix(p))

@@ -1,10 +1,9 @@
 import ast
 import importlib.util
 import random
-import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,7 +33,7 @@ from twistlink.jones import (
     kauffman_bracket,
     mirror_poly,
 )
-from twistlink.poly import VAR_A, VAR_T, LaurentPoly
+from twistlink.poly import VAR_A, VAR_T, LaurentPoly, unpack
 
 from oracles import (
     brute_bracket,
@@ -170,7 +169,7 @@ def test_statesum_guard_catches_narrow_slots(monkeypatch, capsys):
     # the bracket of this closure has coefficients up to 13 in absolute
     # value, which 2-bit slots cannot hold
     text = "4: " + " ".join(["1 -2 3"] * 3)
-    monkeypatch.setattr(statesum, "slot_width", lambda growth: 2)
+    monkeypatch.setattr(statesum, "slot_width", lambda crossings, components: 2)
     with pytest.raises(RuntimeError, match="A = 1"):
         jones_of(text)
     # 9 crossings is within the default state-sum limit, so the CLI takes
@@ -424,26 +423,6 @@ def test_statesum_tables_kept_across_calls_do_not_change_brackets():
         interleaved.append(statesum.bracket(d, tables))
     assert interleaved[1::2] == expected
     assert interleaved[0::2] == [transfer.bracket(b) for b in others]
-
-
-def test_statesum_threads_give_each_key_one_id():
-    braids = _random_braids(random.Random(23), 64, 3, 7)
-    expected = [transfer.bracket(b) for b in braids]
-    diagrams = [braid_closure(b) for b in braids]
-    # eight threads on two tables objects, each object shared by all eight
-    objects = [statesum.Tables(), statesum.Tables()]
-    tables = [objects[k % 2] for k in range(len(diagrams))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads as often as possible
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            got = list(pool.map(statesum.bracket, diagrams, tables, timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == expected
-    for t in objects:
-        assert len(t.ids) == len(t.keys)
-        assert all(t.ids[key] == i for i, key in enumerate(t.keys))
 
 
 def test_transfer_tables_shared_or_fresh_give_equal_brackets():
@@ -711,3 +690,30 @@ def test_rows_match_the_reference_format(b, name):
     assert format_jones_row(name, jones(d)) == row
     assert jones_row(name, transfer.bracket(b), b.writhe()) == row
     assert format_jones_row(name, jones_tl(b)) == row
+
+
+@st.composite
+def permuted_closures(draw):
+    """The closure of a ``row_braids`` word, maybe stabilized (a nugatory crossing), permuted."""
+    b = draw(row_braids())
+    if draw(st.booleans()):
+        b = markov_stabilize(b, draw(st.sampled_from((1, -1))))
+    d = braid_closure(b)
+    return PlanarDiagram(tuple(draw(st.permutations(d.crossings))), d.free_loops, d.components)
+
+
+# the state sum's slots hold 2^(c+mu-1), the bound on the coefficient sum
+# of the pieces' product before the delta power, in any gluing order;
+# decoded here from slots far wider than that
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(permuted_closures())
+@example(braid_closure(BraidWord(4, (1, 1, 3, 3))))  # two split Hopf links
+@example(braid_closure(BraidWord(5, (-2, -2))))  # three idle strands
+@example(braid_closure(BraidWord(3, (1, 1, 2))))  # a nugatory crossing
+@example(braid_closure(BraidWord(2, (1,) * 7)))  # T(2,7): a sum of 7, one per spanning tree
+def test_statesum_product_before_the_delta_power_fits_the_slots(d):
+    c, mu = len(d.crossings), len(d.components)
+    assert statesum.slot_width(c, mu) == c + mu + 1
+    with mock.patch.object(statesum, "slot_width", lambda crossings, components: 4 * c + 8):
+        packed, low, width, _ = statesum._contract(d, statesum.Tables())
+    assert sum(map(abs, unpack(packed, low, width).values())) <= 2 ** (c + mu - 1)

@@ -71,7 +71,7 @@ RECORDS = [
         lambda: presentation([("a", 1, True), ("b", "2/3", True)], {("a", "b"): 1}, [("a", "b")]),
         "SurgeryPresentation(components=(Component(name='a', coefficient=Fraction(1, 1), "
         "unknotted=True), Component(name='b', coefficient=Fraction(2, 3), unknotted=True)), "
-        "linking=((0, 1), (1, 0)), meridian_edges=frozenset({('a', 'b')}))",
+        "linking=(((1, 1),), ((0, 1),)), meridian_edges=frozenset({('a', 'b')}))",
     ),
     (lambda: ContinuedFraction((1, 2, 2, 3)), "ContinuedFraction(terms=(1, 2, 2, 3))"),
     (lambda: Homology((5,), 0), "Homology(torsion=(5,), free_rank=0)"),
@@ -130,7 +130,7 @@ def test_run_config_tables_are_per_run_and_not_compared():
         (GeneralizedTTKSpec(3, 2), {"ops": (TwistRegion(2, 3, 1),)}, "does not fit in 3 strands"),
         (DTCode((4, 6, 2)), {"pairs": (4, 6, 4)}, "entries must cover each of"),
         (ContinuedFraction((1, 2)), {"terms": (1, 1)}, "every term after the first"),
-        (_pres(), {"linking": ((0, 1, 0), (1, 0, 2), (0, 3, 0))}, "must be symmetric"),
+        (_pres(), {"linking": (((1, 1),), ((0, 1), (2, 2)), ((1, 3),))}, "must be symmetric"),
         (_pres(), {"meridian_edges": frozenset({("z", "y")})}, "meridian must be unknotted"),
     ],
 )

@@ -88,22 +88,42 @@ def test_presentation_validation():
     with pytest.raises(ValueError, match="symmetric"):
         SurgeryPresentation(
             (Component("a", Fraction(1), True), Component("b", Fraction(1), True)),
-            ((0, 1), (2, 0)),
+            (((1, 1),), ((0, 2),)),
             frozenset(),
         )
     with pytest.raises(ValueError, match="diagonal"):
-        SurgeryPresentation(
-            (Component("a", Fraction(1), True),), ((1,),), frozenset()
-        )
-    # row 1 breaks symmetry before row 2 breaks the diagonal, and vice versa
+        SurgeryPresentation((Component("a", Fraction(1), True),), (((0, 1),),), frozenset())
+    # every row's pairs are checked before any row's symmetry, rows in order
     three = tuple(Component(n, Fraction(1), True) for n in "abc")
-    with pytest.raises(ValueError, match="symmetric"):
-        SurgeryPresentation(three, ((0, 1, 0), (2, 0, 0), (0, 0, 5)), frozenset())
     with pytest.raises(ValueError, match="diagonal"):
-        SurgeryPresentation(three, ((0, 0, 1), (0, 5, 0), (2, 0, 0)), frozenset())
-    # list rows are accepted and compare equal to their transposed columns
-    p = SurgeryPresentation(three, [[0, 1, -2], [1, 0, 3], [-2, 3, 0]], frozenset())
-    assert p.lk("a", "c") == -2 and p.lk("c", "b") == 3
+        SurgeryPresentation(three, (((1, 1),), ((0, 2),), ((2, 5),)), frozenset())
+    with pytest.raises(ValueError, match="ascend"):
+        SurgeryPresentation(three, (((2, 1),), ((2, 5),), ((1, 1), (0, 2))), frozenset())
+    # list rows and pairs are accepted and stored as the canonical tuples
+    p = SurgeryPresentation(three, [[[1, 1], [2, -2]], [(0, 1), (2, 3)], [(0, -2), (1, 3)]], frozenset())
+    assert p.lk("a", "c") == -2 and p.lk("c", "b") == 3 and p.lk("a", "a") == 0
+    assert p.linking == (((1, 1), (2, -2)), ((0, 1), (2, 3)), ((0, -2), (1, 3)))
+    assert hash(p) == hash(SurgeryPresentation(*p))
+
+
+@pytest.mark.parametrize(
+    "linking, message",
+    [
+        ((((2, 1), (1, 1)), ((0, 1),), ((0, 1),)), "linking columns must ascend"),
+        ((((1, 1), (1, 1)), ((0, 1),), ()), "linking columns must ascend"),
+        ((((1, 0),), ((0, 0),), ()), "linking rows must store no zero"),
+        ((((1, 1),), ((0, -1),), ()), "linking matrix must be symmetric"),
+        ((((1, 1),), (), ()), "linking matrix must be symmetric"),
+        ((((1, 1),), ((0, 1),)), "linking matrix size must match component count"),
+        ((((3, 1),), (), ()), "linking matrix size must match component count"),
+        ((((-1, 1),), (), ()), "linking matrix size must match component count"),
+        ((((0, 2),), (), ()), "linking diagonal must be zero"),
+    ],
+)
+def test_constructor_rejects_rows_that_are_not_canonical(linking, message):
+    three = tuple(Component(n, Fraction(1), True) for n in "abc")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SurgeryPresentation(three, linking, frozenset())
 
 
 def test_meridian_edge_validation():
@@ -134,7 +154,7 @@ def test_pruning_cascades_through_own_meridians():
         Component("c", Fraction(3), False),
         Component("d", Fraction(1), True),
     ]
-    linking = [[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    linking = oracles.pair_rows([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
     edges = {("c", "a"), ("a", "b"), ("d", "b")}
     p = _rebuild(comps, linking, edges, {"a", "b", "c", "d"})
     assert p.meridian_edges == frozenset({("d", "b")})
@@ -717,7 +737,7 @@ def test_h1_matches_determinantal_divisors():
         # components framed inf are erased, with their rows and columns
         kept = [i for i, c in enumerate(coeffs) if c is not INF]
         rows = [
-            [c.numerator if i == j else c.denominator * p.linking[i][j] for j in kept]
+            [c.numerator if i == j else c.denominator * p.lk(f"c{i}", f"c{j}") for j in kept]
             for i, c in enumerate(coeffs)
             if c is not INF
         ]
@@ -826,7 +846,7 @@ def test_public_paths_reject_values_the_format_cannot_carry():
         with pytest.raises(ValueError, match="^component name "):
             presentation([(bad, 1, True)])
         with pytest.raises(ValueError, match="^component name "):
-            SurgeryPresentation((Component(bad, Fraction(1), True),), ((0,),), frozenset())
+            SurgeryPresentation((Component(bad, Fraction(1), True),), ((),), frozenset())
         with pytest.raises(ValueError, match="^component name "):
             blow_up(base, 1, [0], name=bad)
     with pytest.raises(TypeError, match="^component name must be a str, got int$"):
@@ -835,7 +855,9 @@ def test_public_paths_reject_values_the_format_cannot_carry():
         presentation([("a", 1, True), ("b", 1, True)], {("a", "b"): True})
     two = (Component("a", Fraction(1), True), Component("b", Fraction(1), True))
     with pytest.raises(TypeError, match="^linking values must be int, got bool False$"):
-        SurgeryPresentation(two, ((0, False), (False, 0)), frozenset())
+        SurgeryPresentation(two, (((1, False),), ((0, False),)), frozenset())
+    with pytest.raises(TypeError, match="^linking values must be int, got bool True$"):
+        SurgeryPresentation(two, (((True, 1),), ((0, 1),)), frozenset())
     with pytest.raises(TypeError, match="^linking values must be int, got bool True$"):
         blow_up(base, 1, [True])
     # what the checks let through comes back unchanged
@@ -907,7 +929,7 @@ def valid_presentations(draw):
         mat[i][j] = mat[j][i] = draw(st.integers(-2, 2))
     if k > 2 and draw(st.booleans()):
         edges.add(tuple(draw(st.permutations(names))[:2]))
-    return SurgeryPresentation(*oracles.rebuild(comps, mat, edges))
+    return SurgeryPresentation(*oracles.rebuild(comps, oracles.pair_rows(mat), edges))
 
 
 def draw_move(data, p):
@@ -960,6 +982,54 @@ def test_moves_match_the_full_rebuild(p, data):
     assume(rebuilt)
 
 
+def rebuilt_by_the_oracle(p, move):
+    """The move's result, checked against the full rebuild of what it built."""
+    built = []
+    real = surgery._rebuild
+
+    def spy(components, linking, edges, changed):
+        built.append(oracles.rebuild(components, linking, edges))
+        return real(components, linking, edges, changed)
+
+    with mock.patch.object(surgery, "_rebuild", spy):
+        q = apply_move(p, move)
+    assert q == built[0] == SurgeryPresentation(*q)
+    assert all(v for row in q.linking for _, v in row)
+    return q
+
+
+def test_moves_that_cancel_a_linking_number_store_no_zero():
+    # lk(a, b) = 1 - 1 * 1 * 1 after blowing down u
+    p = presentation(
+        [("a", 2, True), ("b", 3, True), ("u", 1, True)],
+        {("a", "b"): 1, ("a", "u"): 1, ("b", "u"): 1},
+    )
+    q = rebuilt_by_the_oracle(p, ("blowdown", "u"))
+    assert q.linking == ((), ()) and q.lk("a", "b") == 0
+    # sliding i over j with sign -1: lk(i, x) = 1 - 1 and lk(i, j) = 2 - 2
+    p = presentation(
+        [("i", 1, True), ("j", 2, True), ("x", 5, True), ("y", 1, True)],
+        {("i", "x"): 1, ("j", "x"): 1, ("i", "j"): 2, ("j", "y"): 1},
+    )
+    q = rebuilt_by_the_oracle(p, ("slide", "i", "j", -1))
+    assert q.lk("i", "x") == q.lk("i", "j") == 0 and q.lk("i", "y") == -1
+    assert q.linking == (((3, -1),), ((2, 1), (3, 1)), ((1, 1),), ((0, -1), (1, 1)))
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_slam_dunk_renumbers_the_columns_after_the_meridian(at):
+    # the meridian m of b first, in the middle and last; the rest keep
+    # their linking, and every column after m's moves down by one
+    names = ["a", "b", "c", "d"]
+    linking = {("a", "b"): 1, ("b", "c"): 2, ("c", "d"): -1, ("a", "d"): 3}
+    comps = [(n, 2, True) for n in names]
+    p = presentation(
+        comps[:at] + [("m", "1/3", True)] + comps[at:], {**linking, ("m", "b"): 1}, [("m", "b")]
+    )
+    q = rebuilt_by_the_oracle(p, ("slamdunk", "m", "b"))
+    assert q == presentation([("a", 2, True), ("b", -1, True), ("c", 2, True), ("d", 2, True)], linking)
+
+
 def test_kirby_reduce_calls_the_module_h1_once_per_step(monkeypatch):
     # perfbench times each step by wrapping surgery.h1, so kirby_reduce
     # must call that global once for the input and once after each move
@@ -981,7 +1051,7 @@ def test_kirby_reduce_calls_the_module_h1_once_per_step(monkeypatch):
 def test_messages_of_rarely_failing_checks():
     assert repr(INF) == "inf"
     a = (Component("a", Fraction(1), True),)
-    for linking in (((0, 0),), ((0,), (0,))):
+    for linking in ((), ((), ())):
         with pytest.raises(ValueError, match="^linking matrix size must match component count$"):
             SurgeryPresentation(a, linking, frozenset())
     with pytest.raises(ValueError, match="^meridian edge a->zz: unknown component$"):
