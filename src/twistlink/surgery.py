@@ -630,10 +630,10 @@ def _clear_unit_pivots(m, cols) -> int:
 def _smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
-    Each row is a ``{column: value}`` dict of the row's nonzero entries
-    (zero values are ignored, and the rows are not changed).  Elimination
-    works on copies of the rows with a col -> rows index, in two phases
-    that make every row update through ``_subtract``.
+    Each row is a ``{column: value}`` dict that holds nonzero values only;
+    the rows are not changed.  Elimination works on copies of the rows
+    with a col -> rows index, in two phases that make every row update
+    through ``_subtract``.
 
     First the +-1 pivots, least fill first (``_clear_unit_pivots``): each
     clears its column, is dropped with its row and adds a 1 to the
@@ -641,22 +641,25 @@ def _smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
     (J. Symb. Comput. 32, 2001) also begin sparse Smith forms with these
     pivots.  On a Kirby presentation this leaves a small core.
 
-    Then a plain Euclid loop diagonalizes the core.  Each round starts
+    Then a Euclid loop diagonalizes the core.  Each round starts
     from a row with the fewest nonzeros and its least-|value| entry, ties
-    going to the column with the fewest nonzeros.  The pivot reduces its
-    column and row modulo itself, which leaves remainders only in that row
-    and column, so the next pivot is the least of them until both are
-    clear; then |p| is recorded and they are dropped.  A +-1 that a
-    remainder makes takes the same path, clearing its column and row in
-    one round.  Last the diagonal is made a divisor chain, since
+    going to the column with the fewest nonzeros.  The pivot p reduces its
+    column and row by nearest-integer quotients, the least-remainder
+    variant of Euclid's algorithm, which by Kronecker's theorem takes no
+    more steps than any other (Knuth, TAOCP vol. 2, 4.5.3).  That leaves
+    remainders only in p's row and column, each at most |p| / 2, and the
+    next pivot is the least of them until both are clear; then |p| is
+    recorded and they are dropped.  So each pivot of a run is at most half
+    the one before it, and a run ends within log2 |p| + 1 rounds.  A +-1
+    that a remainder makes takes the same path, clearing its column and
+    row in one round.  Last the diagonal is made a divisor chain, since
     diag(a, b) has Smith form diag(gcd, lcm).
     """
     m = {}
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
-        row = {j: v for j, v in row.items() if v}
         if row:
-            m[i] = row
+            m[i] = dict(row)
             for j in row:
                 cols.setdefault(j, set()).add(i)
     ones = _clear_unit_pivots(m, cols)
@@ -667,21 +670,44 @@ def _smith_diagonal(rows: list[dict[int, int]]) -> list[int]:
         pj = min(prow, key=lambda j: (abs(prow[j]), len(cols[j])))
         while True:
             p = prow[pj]
-            for i in cols[pj] - {pi}:
-                q = m[i][pj] // p
-                if q:
-                    _subtract(m, cols, i, q, prow)
-            quotients = {j: q for j, v in prow.items() if j != pj and (q := v // p)}
+            size = abs(p)
+            column = cols[pj]
+            # nearest-integer quotients, written inline because a helper
+            # call per quotient costs more: each |remainder| <= |p| / 2
+            for i in list(column):
+                if i != pi:
+                    q, r = divmod(m[i][pj], p)
+                    if 2 * abs(r) > size:
+                        q += 1
+                    if q:
+                        _subtract(m, cols, i, q, prow)
+            quotients = {}
+            for j, v in prow.items():
+                if j != pj:
+                    q, r = divmod(v, p)
+                    if 2 * abs(r) > size:
+                        q += 1
+                    if q:
+                        quotients[j] = q
             if quotients:
-                for i in list(cols[pj]):
+                for i in column:
                     _subtract(m, cols, i, m[i][pj], quotients)
-            if len(prow) == 1 and len(cols[pj]) == 1:
+            if len(prow) == 1 and len(column) == 1:
                 break
             # remainders are left only in the pivot's row and column
-            pi, pj = min(
-                [(abs(v), len(prow) + len(cols[j]), pi, j) for j, v in prow.items() if j != pj]
-                + [(abs(m[i][pj]), len(m[i]) + len(cols[pj]), i, pj) for i in cols[pj] if i != pi]
-            )[2:]
+            best = None
+            for j, v in prow.items():
+                if j != pj:
+                    key = (abs(v), len(prow) + len(cols[j]), pi, j)
+                    if best is None or key < best:
+                        best = key
+            for i in column:
+                if i != pi:
+                    row = m[i]
+                    key = (abs(row[pj]), len(row) + len(column), i, pj)
+                    if best is None or key < best:
+                        best = key
+            pi, pj = best[2:]
             prow = m[pi]
         del m[pi], cols[pj]
         diag.append(abs(p))
@@ -699,10 +725,12 @@ def h1(p: SurgeryPresentation) -> Homology:
     Row i of the presentation matrix is q_i * linking(i, .) with diagonal
     p_i, for coefficient p_i/q_i; components of slope inf are erased with
     their rows and columns.  Each row goes to ``_smith_diagonal`` as a
-    dict built straight from its linking pairs, and an erased component's
-    own pairs name the rows that hold its column.  There the +-1 entries,
-    the chain links and meridians, are pivoted away first, and Euclid
-    steps finish the small core that is left.
+    dict built straight from its linking pairs, with no entry for a zero
+    p_i, so it holds nonzero values only; an erased component's own pairs
+    name the rows that hold its column.  There the +-1 entries, the chain
+    links and meridians, are pivoted away first, and Euclid steps with
+    nearest-integer quotients, each pivot at most half the one before,
+    finish the small core that is left.
     """
     components, linking = p.components, p.linking
     rows = {}
@@ -713,7 +741,8 @@ def h1(p: SurgeryPresentation) -> Homology:
             continue
         q = coeff.denominator
         row = rows[i] = dict(pairs) if q == 1 else {j: q * v for j, v in pairs}
-        row[i] = coeff.numerator
+        if coeff.numerator:
+            row[i] = coeff.numerator
     for i in erased:
         for j, _ in linking[i]:
             rows.get(j, {}).pop(i, None)

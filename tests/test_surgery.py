@@ -645,6 +645,68 @@ def test_smith_diagonal_on_wide_unit_free_cores():
     assert tried >= 40
 
 
+def test_smith_diagonal_rounds_halve_on_fibonacci_rows():
+    # consecutive Fibonacci numbers are floor division's worst case, one
+    # quotient 1 per round; nearest-integer quotients leave remainders of at
+    # most half the pivot, so the rounds, each one row update, stay within
+    # the bit length of the smaller entry
+    calls = []
+    subtract = surgery._subtract
+
+    def counted(*args):
+        calls.append(1)
+        return subtract(*args)
+
+    a, b = 1, 1  # F(k + 1), F(k)
+    with mock.patch.object(surgery, "_subtract", counted):
+        for k in range(1, 301):
+            calls.clear()
+            rows = [{0: a, 1: b}]
+            assert _smith_diagonal(rows) == [1], k
+            assert rows == [{0: a, 1: b}]
+            assert len(calls) <= b.bit_length() + 1, (k, len(calls))
+            a, b = a + b, a
+
+
+def test_smith_diagonal_on_dense_cores_with_seven_digit_entries():
+    # the shape the unit phase leaves on the benchmark's presentations: a
+    # dense 8 x 8 core with no +-1 entry.  Row 0 holds the least entry, a
+    # negative even pivot p, so the first round starts there, and half of
+    # its row and column are q * p + p / 2, where the nearest integer is a
+    # tie (2|r| == |p|); a common factor g makes d1 = g
+    rng = random.Random(6180)
+    tried = 0
+    for _ in range(30):
+        g = rng.choice([1, 1, 2, 3])
+        low, high = -(-(10**6) // g), (10**7 - 1) // g
+        m = [
+            [rng.choice([1, -1]) * rng.randint(low + (high - low) // 4, high) for _ in range(8)]
+            for _ in range(8)
+        ]
+        c = rng.randrange(8)
+        p = m[0][c] = -2 * rng.randint(-(-low // 2), low)
+        for i, j in rng.sample([(0, j) for j in range(8) if j != c] + [(i, c) for i in range(1, 8)], 7):
+            q = rng.choice([1, -1]) * rng.randint(2, high // -p - 1)
+            m[i][j] = q * p + p // 2
+        m = [[g * v for v in row] for row in m]
+        det = det_bareiss(m)
+        if det == 0:
+            continue
+        tried += 1
+        rows = sparse(m)
+        before = [dict(row) for row in rows]
+        factors = _smith_diagonal(rows)
+        assert rows == before
+        assert len(factors) == 8
+        product = 1
+        for d in factors:
+            product *= d
+        assert product == abs(det), m
+        assert factors[0] == gcd(*(v for row in m for v in row)) == g, m
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:])), m
+    assert tried >= 25
+
+
 def test_smith_diagonal_unit_pivots_beside_other_entries():
     # a unit whose row and column hold other entries, placed so that
     # clearing its column leaves a new unit in another row
@@ -742,7 +804,11 @@ def test_h1_matches_determinantal_divisors():
             if c is not INF
         ]
         factors = invariant_factors(rows)
-        assert h1(p) == Homology(tuple(d for d in factors if d > 1), len(kept) - len(factors))
+        # h1 hands _smith_diagonal nonzero entries only, a 0 framing included
+        with mock.patch.object(surgery, "_smith_diagonal", wraps=_smith_diagonal) as smith:
+            assert h1(p) == Homology(tuple(d for d in factors if d > 1), len(kept) - len(factors))
+        (given,), _ = smith.call_args
+        assert all(v for row in given for v in row.values()), coeffs
 
 
 # -- scripts and traces -----------------------------------------------------
