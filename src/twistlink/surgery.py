@@ -21,7 +21,9 @@ declared meridians of a; that exception is what allows chains, where each
 link of the chain carries the next as its meridian.
 
 First homology is the machine-checkable invariant: every move preserves
-it, and kirby_reduce fails hard if a step changes it.
+it, and kirby_reduce fails hard if a step changes it.  ``h1`` folds each
+declared meridian chain into its head by the chain's continued fraction,
+in integers and without calling a move, before its Smith form.
 
 Coefficients are slopes: a ``Fraction`` or the infinite slope ``INF``.
 Slopes also meet braids here: ``blow_down_axis`` turns a -1/s framed
@@ -724,26 +726,66 @@ def h1(p: SurgeryPresentation) -> Homology:
 
     Row i of the presentation matrix is q_i * linking(i, .) with diagonal
     p_i, for coefficient p_i/q_i; components of slope inf are erased with
-    their rows and columns.  Each row goes to ``_smith_diagonal`` as a
-    dict built straight from its linking pairs, with no entry for a zero
-    p_i, so it holds nonzero values only; an erased component's own pairs
-    name the rows that hold its column.  There the +-1 entries, the chain
-    links and meridians, are pivoted away first, and Euclid steps with
-    nearest-integer quotients, each pivot at most half the one before,
-    finish the small core that is left.
+    their rows and columns.
+
+    Before any row is built, the declared meridian chains fold by their
+    continued fractions, tail first.  A meridian a of slope p/q != 0
+    whose own meridians are all folded or erased folds into its target b
+    when b is itself a declared meridian with integer coefficient n: b's
+    slope becomes (n*p - q)/p, in lowest terms since gcd(n*p - q, p) =
+    gcd(q, p) = 1 (both signs flipped if p < 0), and a's row and column
+    go.  That is the Tietze elimination of x_a through row b: by the edge
+    rule row b is the only other row holding column a, with the unit
+    lk(a, b) = +-1, and putting x_a from row b into row a gives b's new
+    row.  It is done here in integers and calls no move, so kirby_reduce's
+    check stays independent of ``slam_dunk``.  A fold stops at a chain's
+    head, the meridian whose target is no meridian, since folding it
+    would scale the target's whole linking row by p.  A meridian of slope
+    0, or of a target that is rational or inf, stays too, and so does
+    its target, which still carries it.
+
+    Each row left goes to ``_smith_diagonal`` as a dict built straight
+    from its linking pairs, with no entry for a zero p_i, so it holds
+    nonzero values only; a removed component's own pairs name the rows
+    that hold its column.  There the +-1 entries left, the chain heads
+    and the other meridians, are pivoted away first, and Euclid steps
+    with nearest-integer quotients, each pivot at most half the one
+    before, finish the small core that is left.
     """
     components, linking = p.components, p.linking
+    # each slope as (p, q), q > 0; gone holds the erased and the folded
+    slopes = [None if c is INF else (c.numerator, c.denominator) for _, c, _ in components]
+    gone = {i for i, s in enumerate(slopes) if s is None}
+    names = {c.name: i for i, c in enumerate(components)}
+    # target of each meridian, and how many own meridians each still has
+    target = {}
+    waiting = [0] * len(components)
+    for a, b in p.meridian_edges:
+        a, b = names[a], names[b]
+        target[a] = b
+        if a not in gone:
+            waiting[b] += 1
+    ready = [a for a in target if not waiting[a] and a not in gone]
+    while ready:
+        a = ready.pop()
+        b = target[a]
+        num, den = slopes[a]
+        if num and b in target and slopes[b] and slopes[b][1] == 1:
+            if num < 0:
+                num, den = -num, -den
+            slopes[b] = (slopes[b][0] * num - den, num)
+            gone.add(a)
+            waiting[b] -= 1
+            if not waiting[b]:
+                ready.append(b)
     rows = {}
-    erased = []
-    for i, ((_, coeff, _), pairs) in enumerate(zip(components, linking)):
-        if coeff is INF:
-            erased.append(i)
-            continue
-        q = coeff.denominator
-        row = rows[i] = dict(pairs) if q == 1 else {j: q * v for j, v in pairs}
-        if coeff.numerator:
-            row[i] = coeff.numerator
-    for i in erased:
+    for i, pairs in enumerate(linking):
+        if i not in gone:
+            num, den = slopes[i]
+            row = rows[i] = dict(pairs) if den == 1 else {j: den * v for j, v in pairs}
+            if num:
+                row[i] = num
+    for i in gone:
         for j, _ in linking[i]:
             rows.get(j, {}).pop(i, None)
     diag = _smith_diagonal(list(rows.values()))
@@ -833,29 +875,60 @@ def render_presentation(p: SurgeryPresentation) -> str:
     return "\n".join(lines)
 
 
+# each line kind of the two text formats, as its one-line errors spell it
+_PRESENTATION_FORMS = {
+    "components": "components <k>",
+    "lk": "lk <a> <b> <v>",
+    "meridian": "meridian <a> <b>",
+}
+_COMPONENT_FORM = "<name> <coefficient> <0|1>"
+_MOVE_FORMS = {
+    "blowdown": "blowdown <name>",
+    "blowup": "blowup <eps> <v1> <v2> ...",
+    "slamdunk": "slamdunk <meridian> <target>",
+    "slide": "slide <i> <j> <+|->",
+    "chain": "chain <name>",
+}
+
+
+def _integer(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what} must be an integer, got {text!r}") from None
+
+
+def _lines(text: str):
+    """(line number, fields, line) of each line that is not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line.split(), line
+
+
 def parse_presentation(text: str) -> SurgeryPresentation:
     comps: list[tuple[str, object, bool]] = []
     lk_lines: list[tuple[int, str, str, int]] = []
     meridians: list[tuple[str, str]] = []
     want = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, fields, line in _lines(text):
+        kind = fields[0]
+        form = _PRESENTATION_FORMS.get(kind, _COMPONENT_FORM)
         try:
-            if fields[0] == "components":
-                want = int(fields[1])
-            elif fields[0] == "lk":
-                lk_lines.append((lineno, fields[1], fields[2], int(fields[3])))
-            elif fields[0] == "meridian":
+            if len(fields) != len(form.split()):
+                raise ValueError(f"expected '{form}', got {line!r}")
+            if kind == "components":
+                want = _integer(fields[1], "component count")
+            elif kind == "lk":
+                lk_lines.append((lineno, fields[1], fields[2], _integer(fields[3], "linking number")))
+            elif kind == "meridian":
                 meridians.append((fields[1], fields[2]))
             else:
                 name, coeff, unk = fields
                 if unk not in ("0", "1"):
                     raise ValueError(f"unknotted flag must be 0 or 1, got {unk!r}")
                 comps.append((name, parse_slope(coeff), unk == "1"))
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     if want is None:
         raise ValueError("missing 'components' header")
@@ -873,25 +946,22 @@ def parse_presentation(text: str) -> SurgeryPresentation:
 
 def parse_script(text: str) -> list[tuple]:
     moves: list[tuple] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
+    for lineno, (kind, *args), line in _lines(text):
         try:
-            kind = fields[0]
-            if kind == "blowdown" and len(fields) == 2:
-                moves.append(("blowdown", fields[1]))
-            elif kind == "blowup" and len(fields) >= 2:
-                moves.append(("blowup", int(fields[1]), tuple(int(v) for v in fields[2:])))
-            elif kind == "slamdunk" and len(fields) == 3:
-                moves.append(("slamdunk", fields[1], fields[2]))
-            elif kind == "slide" and len(fields) == 4 and fields[3] in ("+", "-"):
-                moves.append(("slide", fields[1], fields[2], 1 if fields[3] == "+" else -1))
-            elif kind == "chain" and len(fields) == 2:
-                moves.append(("chain", fields[1]))
-            else:
+            form = _MOVE_FORMS.get(kind)
+            if form is None:
                 raise ValueError(f"unrecognized move {line!r}")
+            # a blow-up's vector has one entry per component, however many
+            fits = len(args) >= 1 if kind == "blowup" else len(args) == form.count(" ")
+            if not fits or kind == "slide" and args[2] not in ("+", "-"):
+                raise ValueError(f"expected '{form}', got {line!r}")
+            if kind == "blowup":
+                vector = tuple(_integer(v, "linking number") for v in args[1:])
+                moves.append(("blowup", _integer(args[0], "blow-up framing"), vector))
+            elif kind == "slide":
+                moves.append(("slide", *args[:2], 1 if args[2] == "+" else -1))
+            else:
+                moves.append((kind, *args))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
     return moves

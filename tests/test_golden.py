@@ -29,8 +29,11 @@ The cases cover every subcommand:
   times and slam-dunks every chain back; its H1 has a 72-bit order;
 * one-line errors: bad braid items for ``jones``, ``fingerprint`` and
   ``dt``, each of ``gen``'s argument errors, bad slopes for ``cfrac``
-  (one of them an empty argument), a bad presentation line, a failing
-  kirby step and the transfer limit.
+  (one of them an empty argument), bad presentation lines (a header,
+  component, ``lk`` or ``meridian`` line with the wrong number of fields,
+  a bad flag, a linking number that is not an integer), bad script lines
+  (a chain with two names, a slide with no sign, a blow-up vector entry
+  that is not an integer), a failing kirby step and the transfer limit.
 
 To record bytes that a change means to alter, run this file as a
 script: it rewrites each non-empty expected file from the current code.

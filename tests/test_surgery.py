@@ -4,6 +4,7 @@ import re
 import typing
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -898,6 +899,57 @@ def test_parse_script_errors():
         parse_script("slide i j +-")
 
 
+PRES = "components 1\nK 1 1\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (
+            parse_presentation,
+            "components 2 junk",
+            "line 1: expected 'components <k>', got 'components 2 junk'",
+        ),
+        (parse_presentation, "components x", "line 1: component count must be an integer, got 'x'"),
+        (
+            parse_presentation,
+            "components 1\nK 1",
+            "line 2: expected '<name> <coefficient> <0|1>', got 'K 1'",
+        ),
+        (
+            parse_presentation,
+            "components 1\nK 1 1 0",
+            "line 2: expected '<name> <coefficient> <0|1>', got 'K 1 1 0'",
+        ),
+        (parse_presentation, PRES + "lk K", "line 3: expected 'lk <a> <b> <v>', got 'lk K'"),
+        (
+            parse_presentation,
+            PRES + "lk K m 1 7",
+            "line 3: expected 'lk <a> <b> <v>', got 'lk K m 1 7'",
+        ),
+        (parse_presentation, PRES + "lk K m x", "line 3: linking number must be an integer, got 'x'"),
+        (
+            parse_presentation,
+            PRES + "meridian m K extra",
+            "line 3: expected 'meridian <a> <b>', got 'meridian m K extra'",
+        ),
+        (parse_script, "blowdown", "line 1: expected 'blowdown <name>', got 'blowdown'"),
+        (parse_script, "chain m\nchain m.2 m.3", "line 2: expected 'chain <name>', got 'chain m.2 m.3'"),
+        (parse_script, "slamdunk m", "line 1: expected 'slamdunk <meridian> <target>', got 'slamdunk m'"),
+        (parse_script, "slide i j *", "line 1: expected 'slide <i> <j> <+|->', got 'slide i j *'"),
+        (parse_script, "slide i j", "line 1: expected 'slide <i> <j> <+|->', got 'slide i j'"),
+        (parse_script, "blowup", "line 1: expected 'blowup <eps> <v1> <v2> ...', got 'blowup'"),
+        (parse_script, "blowup +x 1", "line 1: blow-up framing must be an integer, got '+x'"),
+        (parse_script, "blowup -1 0 1.5", "line 1: linking number must be an integer, got '1.5'"),
+        (parse_script, "warp a", "line 1: unrecognized move 'warp a'"),
+    ],
+)
+def test_each_line_kind_says_what_it_expected(parse, text, message):
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 def test_render_parse_round_trip():
     p = chain_presentation([1, 2, 2, 3])
     assert parse_presentation(render_presentation(p)) == p
@@ -1124,3 +1176,128 @@ def test_messages_of_rarely_failing_checks():
         presentation([("a", 1, True)], {}, [("a", "zz")])
     with pytest.raises(ValueError, match="^unknown move 'warp'$"):
         apply_move(presentation([("a", 1, True)]), ("warp", "a"))
+
+
+# -- h1 folds declared meridian chains --------------------------------------
+
+
+def unfolded_h1(p):
+    """H1 from the determinantal divisors of the full presentation matrix.
+
+    Row i is q_i times linking row i with p_i on the diagonal, for slope
+    p_i/q_i; components of slope inf are erased with their rows and
+    columns, and nothing is folded.
+    """
+    kept = [(i, c.coefficient) for i, c in enumerate(p.components) if c.coefficient is not INF]
+    lk = [dict(row) for row in p.linking]
+    rows = [
+        [c.numerator if i == j else c.denominator * lk[i].get(j, 0) for j, _ in kept]
+        for i, c in kept
+    ]
+    factors = invariant_factors(rows)
+    return Homology(tuple(d for d in factors if d > 1), len(kept) - len(factors))
+
+
+@st.composite
+def meridian_trees(draw):
+    """A head that is no meridian, under a tree of 1 to 6 meridians of random slopes.
+
+    Each link is a meridian of one of the two before it, so long chains
+    and branches both occur; slopes are integers, 0 among them, rationals
+    of either sign, and inf.
+    """
+    n = draw(st.integers(2, 7))
+    slope = st.one_of(
+        st.integers(-3, 3).map(Fraction),
+        st.fractions(min_value=-7, max_value=7, max_denominator=5),
+        st.just(INF),
+    )
+    names = ["h"] + [f"c{i}" for i in range(1, n)]
+    comps = [("h", draw(st.integers(-3, 3)), False)] + [(x, draw(slope), True) for x in names[1:]]
+    edges = [(names[i], names[draw(st.integers(max(0, i - 2), i - 1))]) for i in range(1, n)]
+    linking = {edge: draw(st.sampled_from([1, -1])) for edge in edges}
+    return presentation(comps, linking, edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.one_of(valid_presentations(), meridian_trees()))
+def test_h1_with_folded_chains_matches_the_unfolded_matrix(p):
+    assert h1(p) == unfolded_h1(p)
+
+
+@pytest.mark.parametrize(
+    "terms, rows",
+    [
+        ([2, 3, 2, 5], 2),  # each tail folds in turn, up to the head x.2
+        ([2, 3, -2], 2),  # a negative slope folds with both signs flipped
+        ([2, 3, 4, 0], 4),  # a slope-0 tail stays, and so does all it hangs on
+        ([2, 3, 1, 1], 3),  # 1 - 1/1 = 0: the fold leaves x.3 at slope 0, which stays
+        ([2, "3/2", 4], 3),  # a rational target takes no fold
+        ([2, 3, INF, 5], 3),  # x.3 of slope inf goes; x.4, its meridian, stays
+        ([2, "-7/3"], 2),  # the head stays: x is no meridian
+    ],
+)
+def test_h1_folds_each_chain_into_its_head(terms, rows):
+    p = chain_presentation(terms)
+    with mock.patch.object(surgery, "_smith_diagonal", wraps=_smith_diagonal) as smith:
+        assert h1(p) == unfolded_h1(p)
+    (given,), _ = smith.call_args
+    assert len(given) == rows
+
+
+def test_h1_leaves_mutual_meridians_unfolded():
+    p = presentation([("a", 2, True), ("b", 3, True)], {("a", "b"): 1}, [("a", "b"), ("b", "a")])
+    with mock.patch.object(surgery, "_smith_diagonal", wraps=_smith_diagonal) as smith:
+        assert h1(p) == unfolded_h1(p) == Homology((5,), 0)
+    (given,), _ = smith.call_args
+    assert len(given) == 2
+
+
+def test_h1_hands_a_folded_40_term_chain_to_the_smith_form_as_its_head():
+    # three integer-framed components linked with no unit, and a rational
+    # meridian m of K1 whose continued fraction has 40 terms; expanded, m
+    # heads a chain of 40, and only K1, K2, K3 and m reach the Smith form
+    rng = random.Random(40)
+    slope = cfrac_eval(ContinuedFraction((-2, *(rng.randint(2, 5) for _ in range(39)))))
+    p = presentation(
+        [("K1", 5, True), ("K2", 7, True), ("K3", -4, True), ("m", slope, True)],
+        {("K1", "K2"): 2, ("K2", "K3"): -2, ("K1", "K3"): 3, ("K1", "m"): 1},
+        [("m", "K1")],
+    )
+    chained = rational_to_chain(p, "m")
+    assert len(chained.components) == 3 + 40
+    pivots = []
+    real = surgery._clear_unit_pivots
+
+    def counted(m, cols):
+        pivots.append(real(m, cols))
+        return pivots[-1]
+
+    with mock.patch.object(surgery, "_smith_diagonal", wraps=_smith_diagonal) as smith:
+        with mock.patch.object(surgery, "_clear_unit_pivots", counted):
+            assert h1(chained) == h1(p)
+    (given,), _ = smith.call_args_list[0]
+    assert len(given) == 4
+    assert pivots[0] <= 1
+
+
+def test_kirby_catches_a_wrong_slam_dunk_on_the_golden_chain60():
+    # h1 folds chains in its own integers, so a slam-dunk that gives
+    # n + 1/r instead of n - 1/r changes H1 at the first slam-dunk
+    golden = Path(__file__).parent / "golden"
+    p = parse_presentation((golden / "chain60.pres").read_text())
+    moves = parse_script((golden / "chain60.kirby").read_text())
+    real = surgery.slam_dunk
+
+    def plus_one_over_r(p, meridian, target):
+        after = real(p, meridian, target)
+        i = after.index(target)
+        comps = list(after.components)
+        r = p.component(meridian).coefficient
+        comps[i] = comps[i]._replace(coefficient=comps[i].coefficient + 2 / r)
+        return after._replace(components=tuple(comps))
+
+    with mock.patch.object(surgery, "slam_dunk", plus_one_over_r):
+        stop = r"^step 9 \(slamdunk m1\.14 m1\.13\) changed H1 from .*; this is a bug$"
+        with pytest.raises(RuntimeError, match=stop):
+            kirby_reduce(p, moves)
